@@ -12,7 +12,7 @@ graph family with the 22-view suite promoted to edge bound 2):
 * **BMatchJoin** -- view-based bounded evaluation from extensions
   materialized on the respective backend: node-key pair sets filtered
   through the node-key ``I(V)`` vs. snapshot-bound id-space payloads
-  whose distance index rides the ``CompactExtension``.
+  whose distance index rides the extension's pair rows.
 
 ``test_bounded_speedup_over_dict`` asserts the headline claim -- the
 compact backend answers the combined BMatch + BMatchJoin workload at

@@ -881,10 +881,9 @@ def _snapshot_stats(args) -> int:
             "on_disk_bytes": store.on_disk_bytes,
         }
     for name, view in loaded.views.items():
-        packed = getattr(view, "compact", None)
-        vstore = getattr(packed, "store", None)
-        if vstore is None:
+        if view.compact is None:
             continue
+        vstore = view.compact.store
         segments[f"view:{name}"] = {
             "backend": vstore.backend,
             "tables": vstore.table_bytes(),
@@ -949,7 +948,6 @@ def _cmd_stats(args) -> int:
         partition = make_partition(graph, args.shards, args.partitioner)
     if args.format == "json":
         from repro.graph.flatbuf import SharedCompactGraph
-        from repro.views.flatpack import FlatExtension
 
         index = graph.label_index_stats()
         snapshot = graph.freeze()
@@ -1006,26 +1004,19 @@ def _cmd_stats(args) -> int:
                 "extension_fraction": views.extension_fraction(graph),
                 "snapshot_token": views.snapshot_token,
             }
-            # Per-view flat-buffer footprint: the bytes one extension
-            # occupies once packed for zero-copy shipping.  Extensions
-            # loaded from disk carry no id-space payload, so those are
-            # re-materialized against the shared snapshot to measure.
+            # Per-view payload footprint: the bytes one extension's
+            # pair rows occupy.  Extensions loaded from disk carry no
+            # id-space payload, so those are re-materialized against the
+            # shared snapshot to measure.
             from repro.views.view import materialize as _materialize
 
             view_memory = {}
             for name in views.names():
                 if not views.is_materialized(name):
                     continue
-                base = getattr(views.extension(name), "compact", None)
-                if isinstance(base, FlatExtension):
-                    packed = base
-                elif base is not None:
-                    packed = FlatExtension.pack(flat, base)
-                else:
-                    fresh = _materialize(views.definition(name), flat)
-                    packed = getattr(fresh, "compact", None)
-                    if not isinstance(packed, FlatExtension):
-                        continue
+                packed = views.extension(name).compact
+                if packed is None:
+                    packed = _materialize(views.definition(name), flat).compact
                 view_memory[name] = {
                     "backend": packed.store.backend,
                     "tables": packed.store.table_bytes(),

@@ -16,32 +16,32 @@ The fixpoint afterwards is the same simulation-condition refinement as
 MatchJoin, rank optimization included, for the
 ``O(|Qb||V(G)| + |V(G)|^2)`` bound of Theorem 9.
 
-Like plain MatchJoin, the optimized engine carries an **id-space fast
-path**: when every extension the λ mapping references was materialized
-against the same snapshot (equal ``CompactExtension`` tokens), the
-merge filters through the *id-space* distance index carried by the
-payloads and the fixpoint runs as the shared candidate-level batch
-refinement (:func:`repro.core.matchjoin.compact_candidate_fixpoint`) --
-no node-key pair is touched until the final decode.  A query edge whose
+Like plain MatchJoin, the optimized engine has an **id-space path**:
+when every extension the λ mapping references was materialized against
+the same snapshot, the merge filters each payload's pair rows through
+their per-pair ``I(V)`` distances and the fixpoint is MatchJoin's own
+whole-edge sweep (:func:`repro.core.matchjoin.id_fixpoint`) -- no
+node-key pair is touched until the final decode.  A query edge whose
 bound dominates the covering view edge's bound (``fe(e') <= fe(e)``)
-skips filtering entirely and shares the stored indexes, which is the
-common case for promoted view suites.  Any missing payload, token
-mismatch or absent distance table falls back to the node-key path with
-identical results.
+skips filtering entirely and shares the stored rows and key sets,
+which is the common case for promoted view suites.  A missing payload
+or a token mismatch falls back to the node-key path with identical
+results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping, Optional, Set, Tuple, Union
+from itertools import compress
+from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.containment import Containment
 from repro.core.matchjoin import (
+    EdgeRows,
     _extensions_of,
-    compact_candidate_fixpoint,
-    merge_edge_indexes,
+    id_fixpoint,
     run_fixpoint,
-    shared_snapshot_token,
-    union_payload_into,
+    snapshot_refs,
+    stored_rows,
 )
 from repro.errors import (
     NotContainedError,
@@ -49,6 +49,7 @@ from repro.errors import (
     UnsupportedPatternError,
 )
 from repro.graph.pattern import ANY, BoundedPattern, bound_le
+from repro.obs.metrics import get_registry
 from repro.simulation.result import MatchResult
 from repro.views.storage import ViewSet
 from repro.views.view import MaterializedView
@@ -124,90 +125,43 @@ def merge_initial_sets_bounded(
 
 
 # ----------------------------------------------------------------------
-# Snapshot fast path: id-space merge + the shared candidate fixpoint
+# Id-space fast path: bound-filtered rows into the shared sweep
 # ----------------------------------------------------------------------
-def _compact_bounded_match_join(
+def _id_bounded_match_join(
     query: BoundedPattern, containment: Containment, extensions: Extensions
 ) -> Optional[MatchResult]:
-    """Run BMatchJoin in snapshot id space when the extensions allow it.
+    """BMatchJoin in snapshot id space, or ``None`` to fall back.
 
-    Engagement rule: every extension λ references must carry a
-    :class:`~repro.views.view.CompactExtension` from the *same*
-    snapshot (equal tokens), and every reference that needs bound
-    filtering must carry an id-space distance table.  Returns ``None``
-    to signal "fall back to the node-key path"; otherwise the finished
-    decoded :class:`MatchResult`, identical to the fallback's.
+    Engages under the same rule as MatchJoin's id-space path
+    (:func:`repro.core.matchjoin.snapshot_refs`: one snapshot token
+    behind every λ reference).  A reference whose view-edge bound the
+    query bound dominates hands its stored rows and key sets to
+    :func:`~repro.core.matchjoin.id_fixpoint` untouched; any other keeps
+    the pair rows whose ``I(V)`` distance (``pairs_dist``, carried by
+    every bounded payload) is within the query edge's bound -- one
+    O(1) check per pair, decoding nothing.
     """
-    def ref_has_needed_distances(edge, extension, view_edge, payload):
-        return (
-            not _needs_distance_filter(extension, view_edge, query.bound(edge))
-            or payload.distances is not None
-        )
-
-    if (
-        shared_snapshot_token(
-            query, containment, extensions, ref_check=ref_has_needed_distances
-        )
-        is None
-    ):
+    found = snapshot_refs(query, containment, extensions)
+    if found is None:
         return None
-
-    # --- merge (Fig. 2 lines 1-4) with O(1)-per-pair bound checks -----
-    nodes = None
-    by_source: Dict[PEdge, Dict[int, Set[int]]] = {}
-    by_target: Dict[PEdge, Dict[int, Set[int]]] = {}
-    # Edges whose merged index is one stored, unfiltered extension
-    # index: the stored node-key pair set is reusable wholesale.
-    stored_pairs: Dict[PEdge, Set[NodePair]] = {}
-    for edge in query.edges():
+    refs, nodes = found
+    rows: Dict[PEdge, List[EdgeRows]] = {}
+    for edge, infos in refs.items():
         bound = query.bound(edge)
-        refs = containment.mapping.get(edge, ())
-        filtered = [
-            _needs_distance_filter(extensions[name], view_edge, bound)
-            for name, view_edge in refs
-        ]
-        if not any(filtered):
-            # Every λ image adopts its pairs unfiltered: identical to
-            # the plain MatchJoin merge, helpers shared.
-            source_index, target_index, edge_nodes, stored = (
-                merge_edge_indexes(refs, extensions)
+        edge_rows: List[EdgeRows] = []
+        for extension, payload, view_edge in infos:
+            if not _needs_distance_filter(extension, view_edge, bound):
+                edge_rows.append(stored_rows(extension, payload, view_edge))
+                continue
+            src, tgt = payload.pair_rows(view_edge)
+            keep = [d <= bound for d in payload.dist_row(view_edge)]
+            kept_src = list(compress(src, keep))
+            kept_tgt = list(compress(tgt, keep))
+            edge_rows.append(
+                (kept_src, kept_tgt, frozenset(kept_src), frozenset(kept_tgt), None)
             )
-            if edge_nodes is not None:
-                nodes = edge_nodes
-            if stored is not None:
-                stored_pairs[edge] = stored
-        else:
-            source_index = {}
-            target_index = {}
-            for (view_name, view_edge), needs_filter in zip(refs, filtered):
-                payload = extensions[view_name].compact
-                nodes = payload.nodes
-                if not needs_filter:
-                    union_payload_into(
-                        source_index, target_index, payload, view_edge
-                    )
-                    continue
-                distance_of = payload.distances.__getitem__
-                for v, targets in payload.by_source[view_edge].items():
-                    for w in targets:
-                        if distance_of((v, w)) > bound:
-                            continue
-                        current = source_index.get(v)
-                        if current is None:
-                            source_index[v] = {w}
-                        else:
-                            current.add(w)
-                        current = target_index.get(w)
-                        if current is None:
-                            target_index[w] = {v}
-                        else:
-                            current.add(v)
-        if not source_index:
-            return MatchResult.empty()
-        by_source[edge] = source_index
-        by_target[edge] = target_index
-
-    return compact_candidate_fixpoint(query, by_source, by_target, stored_pairs, nodes)
+        rows[edge] = edge_rows
+    return id_fixpoint(query, rows, nodes)
 
 
 def bounded_match_join(
@@ -228,9 +182,10 @@ def bounded_match_join(
     snapshot (a frozen :class:`~repro.graph.compact.CompactGraph` or a
     :class:`~repro.shard.sharded.ShardedGraph`), the optimized engine
     runs entirely in the snapshot's integer-id space, bound-filtering
-    through the payloads' id-space distance index (see
-    :func:`_compact_bounded_match_join`); the result is identical
-    either way.
+    through the payloads' per-pair distances (see
+    :func:`_id_bounded_match_join`); the result is identical either
+    way.  Each call counts in ``repro_matchjoin_total{path}`` exactly
+    like :func:`~repro.core.matchjoin.match_join`.
     """
     if not isinstance(query, BoundedPattern):
         raise TypeError(
@@ -239,10 +194,13 @@ def bounded_match_join(
         )
     resolved = _extensions_of(extensions)
     _check_bounded_inputs(query, containment, resolved)
+    result = None
     if optimized:
-        fast = _compact_bounded_match_join(query, containment, resolved)
-        if fast is not None:
-            return fast
+        result = _id_bounded_match_join(query, containment, resolved)
+    path = "id" if result is not None else "dict" if optimized else "naive"
+    get_registry().counter("repro_matchjoin_total", path=path).inc()
+    if result is not None:
+        return result
     initial = merge_initial_sets_bounded(query, containment, resolved)
     result = run_fixpoint(query, initial, optimized=optimized)
     return result if result is not None else MatchResult.empty()

@@ -10,20 +10,26 @@ Given ``Qs ⊑ V`` with mapping λ and the materialized extensions
    out-edge of ``u``, some remaining pair, and likewise ``v'`` for the
    out-edges of ``u'`` (the simulation conditions of Section II-A).
 
-Two fixpoint engines are provided:
+Three fixpoint engines are provided:
 
-* the **optimized** engine (default) uses per-(edge, source) witness
+* the **id-space** engine (:func:`id_fixpoint`) runs whenever every
+  extension λ references carries a pair-row payload from the same
+  snapshot (:class:`~repro.views.flatpack.FlatExtension`): whole-edge
+  sweeps over the raw id rows with batch set-ops.  BMatchJoin runs the
+  same function on bound-filtered rows.
+* the **optimized** dict engine (``optimized=True`` on extensions
+  materialized from a mutable graph) uses per-(edge, source) witness
   counters with an invalidation worklist processed in ascending SCC
   *rank* order -- the bottom-up strategy of Section III.  Lemma 2's
   guarantee holds: on DAG patterns every match set is visited at most
-  once.
+  once.  Its total cost is ``O(|Qs||V(G)| + |V(G)|^2)`` (Theorem 1(2)).
 * the **naive** engine (``optimized=False``) is the literal Fig. 2
   loop: scan all edges until a full pass makes no change.  It exists so
   Exp-2 (Fig. 8(f)) can measure the optimization, exactly like the
   paper's ``MatchJoin_nopt``.
 
-Total cost of the optimized engine is ``O(|Qs||V(G)| + |V(G)|^2)``
-(Theorem 1(2)).
+The two dict engines are the reference oracle the id-space engine is
+property-tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from __future__ import annotations
 import heapq
 import logging
 from collections import deque
-from itertools import repeat
 from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.containment import Containment
@@ -41,7 +46,6 @@ from repro.graph.scc import node_ranks
 from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.simulation.result import MatchResult
-from repro.views.flatpack import FlatExtension
 from repro.views.storage import ViewSet
 from repro.views.view import MaterializedView
 
@@ -125,11 +129,9 @@ def _refine_indexes(
 ) -> Optional[Dict[PEdge, Dict[Node, Set[Node]]]]:
     """The rank-ordered worklist refinement over pre-grouped indexes.
 
-    This is the node-key engine only: the snapshot fast path
-    (:func:`_compact_match_join`) runs its own candidate-level batch
-    fixpoint over the immutable id-space payloads and never calls in
-    here.  Mutates the indexes in place; every inner set must be owned
-    by the caller.
+    This is the node-key engine only (the oracle the id-space sweep of
+    :func:`id_fixpoint` is tested against).  Mutates the indexes in
+    place; every inner set must be owned by the caller.
     """
     # Candidate pools and validity.  A candidate v of pattern node u is
     # valid while every out-edge of u still has a pair sourced at v,
@@ -200,82 +202,113 @@ def _refine_indexes(
 
 
 # ----------------------------------------------------------------------
-# Flat-buffer fast path: batch set-ops over precomputed key sets
+# Id-space fast path: whole-edge sweeps over extension pair rows
 # ----------------------------------------------------------------------
-def _flat_match_join(
+#: One λ reference as the sweep consumes it: ``(src row, tgt row,
+#: src-key frozenset, tgt-key frozenset, stored)``.  ``stored`` is the
+#: ``(extension, payload, view edge)`` whose stored node-key sets equal
+#: the rows (unfiltered references), or ``None`` for rows a caller
+#: filtered (BMatchJoin's bound check), which always package by decode.
+EdgeRows = Tuple[object, object, frozenset, frozenset, Optional[tuple]]
+
+
+def snapshot_refs(query: Pattern, containment: Containment, extensions: Extensions):
+    """``(refs, nodes)``: per query edge, its λ references as
+    ``(extension, payload, view edge)`` triples, plus the snapshot's
+    id -> key decode table -- or ``None`` when the id-space path must
+    fall back to the dict engine: a referenced extension carries no
+    id-space payload (materialized on a mutable graph), payloads come
+    from different snapshots (ids must never mix), or λ references
+    nothing.
+    """
+    token = None
+    nodes = None
+    refs: Dict[PEdge, List[Tuple[MaterializedView, object, PEdge]]] = {}
+    for edge in query.edges():
+        infos = []
+        for view_name, view_edge in containment.mapping.get(edge, ()):
+            extension = extensions[view_name]
+            payload = extension.compact
+            if payload is None:
+                return None
+            if token is None:
+                token = payload.token
+                nodes = payload.nodes
+            elif payload.token != token:
+                return None
+            infos.append((extension, payload, view_edge))
+        refs[edge] = infos
+    return (refs, nodes) if token is not None else None
+
+
+def stored_rows(extension: MaterializedView, payload, view_edge: PEdge) -> EdgeRows:
+    """The unfiltered :data:`EdgeRows` of one λ reference: the payload's
+    raw rows and stored key sets, nothing copied."""
+    src, tgt = payload.pair_rows(view_edge)
+    return (
+        src,
+        tgt,
+        payload.src_keys[view_edge],
+        payload.tgt_keys[view_edge],
+        (extension, payload, view_edge),
+    )
+
+
+def _id_match_join(
     query: Pattern, containment: Containment, extensions: Extensions
 ) -> Optional[MatchResult]:
-    """MatchJoin over flat-buffer extensions, as whole-edge row sweeps.
-
-    Engages when every λ reference carries a
-    :class:`~repro.views.flatpack.FlatExtension` from the same snapshot.
-    Everything the fixpoint touches is a batch set-op over flat data:
-    candidate pools are C-level intersections of the extensions'
-    precomputed per-edge key frozensets, refinement re-derives an edge's
-    live sources in **one comprehension pass over its raw ``(src, tgt)``
-    id rows** (the segment slices themselves -- no grouped ``{id: set}``
-    indexes are ever built, no per-candidate witness counters probed),
-    and untouched edges package by unioning stored node frozensets with
-    zero id decodes.  The sweep recomputes from scratch instead of
-    decrementing counters, trading worst-case increments for straight
-    C-speed passes -- the right trade for the serving regime, where
-    extensions are large and queries converge in a few rounds.  The
-    fixpoint it reaches is the same simulation refinement as
-    :func:`_compact_match_join`, so results are identical to every
-    other engine.
-    """
-    token = shared_snapshot_token(
-        query,
-        containment,
-        extensions,
-        ref_check=lambda edge, ext, view_edge, payload: isinstance(
-            payload, FlatExtension
-        ),
-    )
-    if token is None:
+    """MatchJoin in snapshot id space, or ``None`` to fall back (see
+    :func:`snapshot_refs`)."""
+    found = snapshot_refs(query, containment, extensions)
+    if found is None:
         return None
+    refs, nodes = found
+    rows = {
+        edge: [stored_rows(*info) for info in infos]
+        for edge, infos in refs.items()
+    }
+    return id_fixpoint(query, rows, nodes)
 
+
+def id_fixpoint(
+    query: Pattern, rows: Dict[PEdge, List[EdgeRows]], nodes
+) -> MatchResult:
+    """The id-space MatchJoin fixpoint, as whole-edge row sweeps.
+
+    ``rows`` maps every query edge to the :data:`EdgeRows` of its λ
+    images (Fig. 2 lines 1-4: the merged ``Se`` is their union);
+    ``nodes`` is the snapshot's id -> key decode table.  Shared by
+    MatchJoin and BMatchJoin, which differ only in the rows they hand
+    in.  Everything the fixpoint touches is a batch set-op: candidate
+    pools are C-level intersections of the per-edge key frozensets,
+    refinement re-derives an edge's live sources in **one comprehension
+    pass over its raw ``(src, tgt)`` rows** (no grouped ``{id: set}``
+    index is ever built), and untouched edges package by unioning the
+    stored node-key sets with zero id decodes.  The sweep recomputes
+    from scratch instead of decrementing witness counters, trading
+    worst-case increments for straight C-speed passes -- the right
+    trade for the serving regime, where extensions are large and
+    queries converge in a few rounds.  The fixpoint reached is the
+    simulation refinement of Fig. 2, so the result equals the dict
+    engines' (the oracle).
+    """
     # --- merge (Fig. 2 lines 1-4) on key sets only ---------------------
     edges = query.edges()
-    edge_refs: Dict[PEdge, list] = {}
     src_keys: Dict[PEdge, frozenset] = {}
     tgt_keys: Dict[PEdge, frozenset] = {}
-    nodes = None
     for edge in edges:
-        refs = containment.mapping.get(edge, ())
-        infos = []
-        for view_name, view_edge in refs:
-            extension = extensions[view_name]
-            infos.append((extension, extension.compact, view_edge))
-        edge_refs[edge] = infos
-        if not infos:
+        edge_rows = rows[edge]
+        if not edge_rows:
             return MatchResult.empty()
-        nodes = infos[0][1].nodes
-        if len(infos) == 1:
-            _, payload, view_edge = infos[0]
-            sources = payload.src_keys[view_edge]
-            targets = payload.tgt_keys[view_edge]
+        if len(edge_rows) == 1:
+            sources, targets = edge_rows[0][2], edge_rows[0][3]
         else:
-            sources = frozenset().union(
-                *(p.src_keys[ve] for _, p, ve in infos)
-            )
-            targets = frozenset().union(
-                *(p.tgt_keys[ve] for _, p, ve in infos)
-            )
+            sources = frozenset().union(*(r[2] for r in edge_rows))
+            targets = frozenset().union(*(r[3] for r in edge_rows))
         if not sources:
             return MatchResult.empty()
         src_keys[edge] = sources
         tgt_keys[edge] = targets
-
-    # Raw pair rows, one (src, tgt) slice pair per λ reference.  These
-    # are parallel ``"q"`` views straight out of each extension's
-    # segment; the fixpoint below sweeps them wholesale instead of
-    # grouping them into ``{id: set}`` indexes (the compact path's merge
-    # step) or probing them per candidate (its witness counters).
-    rows: Dict[PEdge, list] = {
-        edge: [p.pair_rows(ve) for _, p, ve in edge_refs[edge]]
-        for edge in edges
-    }
 
     # --- candidate pools and seed (batch frozenset ops) ----------------
     valid: Dict[PNode, Set[int]] = {}
@@ -297,16 +330,13 @@ def _flat_match_join(
             ins = [tgt_keys[e] for e in in_edges[u]]
             valid[u] = ins[0] if len(ins) == 1 else ins[0].union(*ins[1:])
 
-    # --- fixpoint: whole-edge sweeps over flat rows ---------------------
+    # --- fixpoint: whole-edge sweeps over the rows ----------------------
     # An edge (u, u') needs a sweep only while some stored target is
     # outside valid(u'); the sweep recomputes, in one pass over the raw
     # rows, the set of sources that still have a live witness, and
-    # shrinking valid(u) re-queues u's in-edges.  Every step is a batch
-    # set-op (subset test, comprehension over a flat slice, C-level
-    # intersection) -- there are no per-candidate unions or counter
-    # probes, which is what makes large extensions cheap on this path.
-    # Sweep counts aggregate in a local int and hit the registry once
-    # per call (the overhead-budget discipline for hot kernels).
+    # shrinking valid(u) re-queues u's in-edges.  Sweep counts
+    # aggregate in a local int and hit the registry once per call (the
+    # overhead-budget discipline for hot kernels).
     sweeps = 0
     dirty = deque(edges)
     queued: Set[PEdge] = set(edges)
@@ -320,13 +350,13 @@ def _flat_match_join(
             continue  # every stored target is live: no source can die
         edge_rows = rows[edge]
         if len(edge_rows) == 1:
-            src_row, tgt_row = edge_rows[0]
+            src_row, tgt_row = edge_rows[0][0], edge_rows[0][1]
             alive = {
                 v for v, w in zip(src_row, tgt_row) if w in live_targets
             }
         else:
             alive = set()
-            for src_row, tgt_row in edge_rows:
+            for src_row, tgt_row, *_ in edge_rows:
                 alive.update(
                     v for v, w in zip(src_row, tgt_row) if w in live_targets
                 )
@@ -336,7 +366,7 @@ def _flat_match_join(
             continue
         if not survivors:
             get_registry().counter(
-                "repro_matchjoin_sweeps_total", path="flat"
+                "repro_matchjoin_sweeps_total", path="id"
             ).inc(sweeps)
             return MatchResult.empty()
         valid[u] = survivors
@@ -344,9 +374,7 @@ def _flat_match_join(
             if affected not in queued:
                 dirty.append(affected)
                 queued.add(affected)
-    get_registry().counter(
-        "repro_matchjoin_sweeps_total", path="flat"
-    ).inc(sweeps)
+    get_registry().counter("repro_matchjoin_sweeps_total", path="id").inc(sweeps)
 
     # --- package: batch unions for untouched edges ---------------------
     decode = nodes.__getitem__
@@ -354,33 +382,32 @@ def _flat_match_join(
     edge_matches: Dict[PEdge, Set[NodePair]] = {}
     for edge in edges:
         u, u_prime = edge
-        infos = edge_refs[edge]
+        edge_rows = rows[edge]
         valid_src = valid[u]
         valid_tgt = valid[u_prime]
-        if src_keys[edge] <= valid_src and tgt_keys[edge] <= valid_tgt:
+        stored = [r[4] for r in edge_rows]
+        if (
+            None not in stored
+            and src_keys[edge] <= valid_src
+            and tgt_keys[edge] <= valid_tgt
+        ):
             # No endpoint candidate of this edge was refined away: every
             # stored pair survives, so the answer is the stored node-key
             # sets united wholesale -- no per-pair decode.
-            if len(infos) == 1:
-                extension, payload, view_edge = infos[0]
-                edge_matches[edge] = set(extension.edge_matches[view_edge])
-                node_matches[u] |= payload.src_nodes[view_edge]
-                node_matches[u_prime] |= payload.tgt_nodes[view_edge]
-            else:
-                edge_matches[edge] = set().union(
-                    *(ext.edge_matches[ve] for ext, _, ve in infos)
-                )
-                node_matches[u] = node_matches[u].union(
-                    *(p.src_nodes[ve] for _, p, ve in infos)
-                )
-                node_matches[u_prime] = node_matches[u_prime].union(
-                    *(p.tgt_nodes[ve] for _, p, ve in infos)
-                )
+            edge_matches[edge] = set().union(
+                *(ext.edge_matches[ve] for ext, _, ve in stored)
+            )
+            node_matches[u] = node_matches[u].union(
+                *(p.src_nodes[ve] for _, p, ve in stored)
+            )
+            node_matches[u_prime] = node_matches[u_prime].union(
+                *(p.tgt_nodes[ve] for _, p, ve in stored)
+            )
             continue
-        # Touched edge: one filtering pass over the raw rows, decoding
+        # Touched (or filtered) edge: one pass over the rows, decoding
         # only the pairs that survived.
         pairs: Set[NodePair] = set()
-        for src_row, tgt_row in rows[edge]:
+        for src_row, tgt_row, *_ in edge_rows:
             pairs.update(
                 (decode(v), decode(w))
                 for v, w in zip(src_row, tgt_row)
@@ -389,307 +416,6 @@ def _flat_match_join(
         edge_matches[edge] = pairs
         node_matches[u].update(pair[0] for pair in pairs)
         node_matches[u_prime].update(pair[1] for pair in pairs)
-    return MatchResult(node_matches, edge_matches)
-
-
-# ----------------------------------------------------------------------
-# Snapshot fast path: id-space fixpoint over compact extension payloads
-# ----------------------------------------------------------------------
-def _compact_match_join(
-    query: Pattern, containment: Containment, extensions: Extensions
-) -> Optional[MatchResult]:
-    """Run MatchJoin in snapshot id space when the extensions allow it.
-
-    Engages only when every extension λ references carries a
-    :class:`~repro.views.view.CompactExtension` payload *from the same
-    snapshot* (equal tokens -- ids from different snapshots must never
-    mix).  Returns ``None`` to signal "fall back to the node-key path";
-    otherwise the finished (decoded) :class:`MatchResult`.
-
-    Unlike the node-key engine, which refines *pair sets* in place, this
-    path refines at the *candidate* level: a pair ``(v, w)`` of edge
-    ``e = (u, u')`` survives the Fig. 2 fixpoint iff ``v`` stays a valid
-    candidate of ``u`` and ``w`` of ``u'``, where validity is the
-    greatest relation in which every candidate has, for each out-edge of
-    its pattern node, at least one surviving target in the initial
-    merged set.  Candidate validity is computed with the same batched
-    witness-counter propagation as the compact simulation engine --
-    entirely over the extensions' pre-grouped, immutable id indexes, so
-    the merge step copies nothing for single-view λ images, and an edge
-    whose endpoints lose no candidates reuses the stored node-key pair
-    set outright instead of decoding pair by pair.
-    """
-    if shared_snapshot_token(query, containment, extensions) is None:
-        return None
-
-    # --- merge (Fig. 2 lines 1-4), sharing single-view indexes --------
-    nodes = None
-    by_source: Dict[PEdge, Dict[int, Set[int]]] = {}
-    by_target: Dict[PEdge, Dict[int, Set[int]]] = {}
-    # For single-view λ images, the stored node-key pair set to reuse
-    # wholesale when refinement leaves the edge untouched.
-    stored_pairs: Dict[PEdge, Set[NodePair]] = {}
-    for edge in query.edges():
-        refs = containment.mapping.get(edge, ())
-        source_index, target_index, edge_nodes, stored = merge_edge_indexes(
-            refs, extensions
-        )
-        if edge_nodes is not None:
-            nodes = edge_nodes
-        if stored is not None:
-            stored_pairs[edge] = stored
-        if not source_index:
-            return MatchResult.empty()
-        by_source[edge] = source_index
-        by_target[edge] = target_index
-
-    return compact_candidate_fixpoint(query, by_source, by_target, stored_pairs, nodes)
-
-
-def shared_snapshot_token(
-    query: Pattern,
-    containment: Containment,
-    extensions: Extensions,
-    ref_check=None,
-):
-    """The single snapshot token behind every extension λ references,
-    or ``None`` when the fast paths must fall back: a referenced
-    extension carries no :class:`CompactExtension` payload, payloads
-    come from different snapshots (ids must never mix), the λ mapping
-    references nothing, or the optional ``ref_check(query_edge,
-    extension, view_edge, payload)`` vetoes a reference (BMatchJoin
-    uses it to demand a distance table where bound filtering applies).
-    """
-    token = None
-    for edge in query.edges():
-        for view_name, view_edge in containment.mapping.get(edge, ()):
-            extension = extensions[view_name]
-            payload = extension.compact
-            if payload is None:
-                return None
-            if token is None:
-                token = payload.token
-            elif payload.token != token:
-                return None
-            if ref_check is not None and not ref_check(
-                edge, extension, view_edge, payload
-            ):
-                return None
-    return token
-
-
-def union_payload_into(
-    source_index: Dict[int, Set[int]],
-    target_index: Dict[int, Set[int]],
-    payload,
-    view_edge: PEdge,
-) -> None:
-    """Union one stored payload index pair into mutable merge targets
-    (the multi-view arm of Fig. 2 lines 1-4, id space)."""
-    for v, targets in payload.by_source[view_edge].items():
-        current = source_index.get(v)
-        if current is None:
-            source_index[v] = set(targets)
-        else:
-            current |= targets
-    for w, sources in payload.by_target[view_edge].items():
-        current = target_index.get(w)
-        if current is None:
-            target_index[w] = set(sources)
-        else:
-            current |= sources
-
-
-def merge_edge_indexes(refs, extensions: Extensions):
-    """Merged id indexes for one query edge adopting λ-image pairs
-    unfiltered.
-
-    Returns ``(source_index, target_index, nodes, stored)``: for a
-    single λ image the *stored* payload indexes are shared without
-    copying and ``stored`` is the stored node-key pair set (reusable
-    wholesale when refinement leaves the edge untouched); multi-view
-    images union into fresh dicts with ``stored = None``.  ``nodes``
-    is the decode table (``None`` only when ``refs`` is empty).
-    """
-    if len(refs) == 1:
-        view_name, view_edge = refs[0]
-        extension = extensions[view_name]
-        payload = extension.compact
-        return (
-            payload.by_source[view_edge],
-            payload.by_target[view_edge],
-            payload.nodes,
-            extension.edge_matches[view_edge],
-        )
-    source_index: Dict[int, Set[int]] = {}
-    target_index: Dict[int, Set[int]] = {}
-    nodes = None
-    for view_name, view_edge in refs:
-        payload = extensions[view_name].compact
-        nodes = payload.nodes
-        union_payload_into(source_index, target_index, payload, view_edge)
-    return source_index, target_index, nodes, None
-
-
-def _meter_fixpoint(path: str, batches: int, removed: int) -> None:
-    """One registry write per fixpoint run (see the overhead budget in
-    :mod:`repro.obs.metrics`)."""
-    reg = get_registry()
-    reg.counter("repro_matchjoin_batches_total", path=path).inc(batches)
-    reg.counter("repro_matchjoin_removals_total", path=path).inc(removed)
-    current = trace.current_span()
-    if current is not None:
-        current.set(fixpoint_batches=batches, fixpoint_removals=removed)
-
-
-def compact_candidate_fixpoint(
-    query: Pattern,
-    by_source: Dict[PEdge, Dict[int, Set[int]]],
-    by_target: Dict[PEdge, Dict[int, Set[int]]],
-    stored_pairs: Dict[PEdge, Set[NodePair]],
-    nodes,
-) -> MatchResult:
-    """The id-space candidate-level fixpoint plus result packaging.
-
-    Shared by the plain MatchJoin fast path and the BMatchJoin fast path
-    (:func:`repro.core.bounded.bmatchjoin._compact_bounded_match_join`):
-    both hand in merged, pre-grouped id indexes (every ``source_index``
-    nonempty) and get back the finished decoded :class:`MatchResult`.
-    ``stored_pairs`` maps edges whose merged index *is* a stored
-    extension index (single λ image, no filtering) to the stored
-    node-key pair set, reused wholesale when refinement leaves the edge
-    untouched; ``nodes`` is the snapshot's id -> key decode table.  The
-    indexes are only read, never mutated.
-    """
-    # --- candidate pools and witness counters --------------------------
-    valid: Dict[PNode, Set[int]] = {}
-    out_edges: Dict[PNode, List[PEdge]] = {}
-    in_edges: Dict[PNode, List[PEdge]] = {}
-    for u in query.nodes():
-        out_edges[u] = query.out_edges(u)
-        in_edges[u] = query.in_edges(u)
-        pool: Set[int] = set()
-        for edge in out_edges[u]:
-            pool.update(by_source[edge].keys())
-        for edge in in_edges[u]:
-            pool.update(by_target[edge].keys())
-        valid[u] = pool
-
-    # counters[e][v] = |by_source[e][v] & valid(target of e)| -- *lazy*,
-    # exactly like the compact simulation engine: a candidate's counter
-    # is only materialized the first time a removal batch touches it
-    # (one set.intersection against the current target pool), so edges
-    # untouched by refinement never pay the counting pass.
-    counters: Dict[PEdge, Dict[int, int]] = {edge: {} for edge in by_source}
-
-    # --- seed: candidates missing support on some out-edge -------------
-    pending: Dict[PNode, Set[int]] = {}
-    for u in query.nodes():
-        alive: Optional[Set[int]] = None
-        for edge in out_edges[u]:
-            keys = by_source[edge].keys()
-            alive = set(keys) if alive is None else alive.intersection(keys)
-        if alive is None:
-            continue
-        doomed = valid[u] - alive
-        if doomed:
-            valid[u] = alive & valid[u]
-            if not valid[u]:
-                return MatchResult.empty()
-            pending[u] = doomed
-
-    # --- batched propagation (same scheme as the compact simulation) --
-    # Batch/removal counts aggregate locally; _meter_fixpoint records
-    # them once on every exit path.
-    batches = 0
-    removed_total = 0
-    dead: Dict[PNode, Set[int]] = {u: set() for u in query.nodes()}
-    while pending:
-        u1, removed = pending.popitem()
-        batches += 1
-        removed_total += len(removed)
-        dead[u1] |= removed
-        for edge in in_edges[u1]:
-            u0 = edge[0]
-            target_index = by_target[edge]
-            touched: Set[int] = set()
-            for w in removed:
-                sources = target_index.get(w)
-                if sources:
-                    touched |= sources
-            candidates = valid[u0]
-            affected = candidates & touched
-            if not affected:
-                continue
-            source_index = by_source[edge]
-            edge_counter = counters[edge]
-            # A counter materialized mid-propagation must count every
-            # witness whose departure has not been *processed* yet:
-            # valid(u1) plus anything still queued for u1 (a self-loop
-            # query edge can re-queue ids for u1 during this very pop).
-            # The current batch is excluded from both, so it needs no
-            # decrement on a fresh counter; queued ids will decrement
-            # exactly once when their own batch pops.
-            queued_for_u1 = pending.get(u1)
-            if queued_for_u1:
-                intersect_targets = (valid[u1] | queued_for_u1).intersection
-            else:
-                intersect_targets = valid[u1].intersection
-            intersect_removed = removed.intersection
-            newly: Set[int] = set()
-            for v in affected:
-                count = edge_counter.get(v)
-                if count is None:
-                    count = len(intersect_targets(source_index[v]))
-                else:
-                    count -= len(intersect_removed(source_index[v]))
-                edge_counter[v] = count
-                if count == 0:
-                    newly.add(v)
-            if newly:
-                candidates -= newly
-                if not candidates:
-                    _meter_fixpoint("compact", batches, removed_total)
-                    return MatchResult.empty()
-                queued = pending.get(u0)
-                if queued is None:
-                    pending[u0] = newly
-                else:
-                    queued |= newly
-    _meter_fixpoint("compact", batches, removed_total)
-
-    # --- package: restrict the initial sets to the valid candidates ----
-    decode = nodes.__getitem__
-    node_matches: Dict[PNode, Set[Node]] = {u: set() for u in query.nodes()}
-    edge_matches: Dict[PEdge, Set[NodePair]] = {}
-    for edge in query.edges():
-        u, u_prime = edge
-        source_index = by_source[edge]
-        sources = valid[u].intersection(source_index.keys())
-        target_pool = valid[u_prime]
-        shared = stored_pairs.get(edge)
-        if (
-            shared is not None
-            and not dead[u]
-            and not dead[u_prime]
-            and len(sources) == len(source_index)
-        ):
-            # Nothing was refined away: the stored extension pair set is
-            # the answer for this edge (copied so callers own it).
-            edge_matches[edge] = set(shared)
-            node_matches[u].update(map(decode, sources))
-            node_matches[u_prime].update(map(decode, by_target[edge].keys()))
-            continue
-        pairs: Set[NodePair] = set()
-        surviving_targets: Set[int] = set()
-        for v in sources:
-            targets = target_pool.intersection(source_index[v])
-            if targets:
-                surviving_targets |= targets
-                pairs.update(zip(repeat(decode(v)), map(decode, targets)))
-        edge_matches[edge] = pairs
-        node_matches[u].update(map(decode, sources))
-        node_matches[u_prime].update(map(decode, surviving_targets))
     return MatchResult(node_matches, edge_matches)
 
 
@@ -800,32 +526,30 @@ def match_join(
     the edge-level object).
 
     When every referenced extension was materialized against the same
-    :class:`~repro.graph.compact.CompactGraph` snapshot, the optimized
-    engine runs entirely in the snapshot's integer-id space (see
-    :func:`_compact_match_join`); the result is identical either way.
+    snapshot, the optimized engine runs in the snapshot's integer-id
+    space (:func:`id_fixpoint`); the result is identical either way.
+    ``repro_matchjoin_total{path}`` counts each call as ``id`` (the
+    id-space sweep), ``dict`` (the node-key ranked engine) or
+    ``naive``.
     """
     resolved = _extensions_of(extensions)
     _check_inputs(query, containment, resolved)
     reg = get_registry()
-    if optimized:
-        with trace.span("matchjoin", edges=len(query.edges())) as mj_span:
-            fast = _flat_match_join(query, containment, resolved)
-            path = "flat"
-            if fast is None:
-                fast = _compact_match_join(query, containment, resolved)
-                path = "compact"
-            if fast is not None:
-                reg.counter("repro_matchjoin_total", path=path).inc()
-                if mj_span is not None:
-                    mj_span.set(path=path)
-                return fast
-            if mj_span is not None:
-                mj_span.set(path="dict")
-            reg.counter("repro_matchjoin_total", path="dict").inc()
+    if not optimized:
+        reg.counter("repro_matchjoin_total", path="naive").inc()
+        initial = merge_initial_sets(query, containment, resolved)
+        result = run_fixpoint(query, initial, optimized=False)
+        return result if result is not None else MatchResult.empty()
+    with trace.span("matchjoin", edges=len(query.edges())) as mj_span:
+        result = _id_match_join(query, containment, resolved)
+        path = "id"
+        if result is None:
+            path = "dict"
             initial = merge_initial_sets(query, containment, resolved)
             result = run_fixpoint(query, initial, optimized=True)
-            return result if result is not None else MatchResult.empty()
-    reg.counter("repro_matchjoin_total", path="naive").inc()
-    initial = merge_initial_sets(query, containment, resolved)
-    result = run_fixpoint(query, initial, optimized=False)
-    return result if result is not None else MatchResult.empty()
+            if result is None:
+                result = MatchResult.empty()
+        reg.counter("repro_matchjoin_total", path=path).inc()
+        if mj_span is not None:
+            mj_span.set(path=path)
+        return result

@@ -170,16 +170,15 @@ class WorkloadAdvisor:
         return int(self._engine.graph_units() * BYTES_PER_UNIT)
 
     def view_bytes(self, name: str, graph_bytes: Optional[int] = None) -> int:
-        """One view's extension footprint: measured flat-pack bytes
-        when available, size-based estimate otherwise; for a view not
-        yet materialized, the cost model's missing-size estimate."""
+        """One view's extension footprint: the measured bytes of its
+        id-space payload when snapshot-bound, a size-based estimate
+        otherwise; for a view not yet materialized, the cost model's
+        missing-size estimate."""
         views = self._engine.views
         if views.is_materialized(name):
             extension = views.extension(name)
-            compact = getattr(extension, "compact", None)
-            store = getattr(compact, "store", None)
-            if store is not None:
-                return int(store.total_bytes)
+            if extension.compact is not None:
+                return int(extension.compact.store.total_bytes)
             return int(extension.size * BYTES_PER_UNIT)
         if graph_bytes is None:
             graph_bytes = self.graph_bytes()

@@ -194,14 +194,13 @@ class QueryEngine:
         ``"minimum"`` (greedy set-cover, Theorem 6).
     executor / workers:
         Default batch executor (see :data:`EXECUTORS`) and pool width.
-    shared_snapshots:
-        Freeze ``G`` into a shared-memory flat-buffer snapshot
+        With ``executor='process'`` the engine freezes ``G`` into a
+        shared-memory snapshot
         (:class:`~repro.graph.flatbuf.SharedCompactGraph`), so
-        extensions materialize flat and the whole serving payload
-        pickles to segment handles.  Defaults to ``None`` = "on when
-        ``executor='process'``" -- pool workers then attach segments
-        instead of deserializing the graph; in-process engines skip
-        the (small) freeze-time encode unless asked.
+        extensions pack into shared segments and the whole serving
+        payload pickles to segment handles -- pool workers attach
+        instead of deserializing; in-process executors freeze a plain
+        snapshot and create no shared segment.
     answer_cache_size / containment_cache_size:
         LRU capacities; ``0`` disables the respective cache.
     shards / partitioner:
@@ -246,7 +245,6 @@ class QueryEngine:
         optimized: bool = True,
         shards: Optional[int] = None,
         partitioner: str = "hash",
-        shared_snapshots: Optional[bool] = None,
         registry: Optional[MetricsRegistry] = None,
         planner: str = PLANNER_FIXED,
         cost_model: Optional[CostModel] = None,
@@ -333,11 +331,6 @@ class QueryEngine:
         self._optimized = optimized
         self._planner = planner
         self._cost_model = cost_model if cost_model is not None else CostModel()
-        self._shared_snapshots = (
-            shared_snapshots
-            if shared_snapshots is not None
-            else executor == "process"
-        )
         # Cumulative process-pool shipping cost (see ship_stats()).
         self._ship_totals = {"batches": 0, "bytes": 0, "seconds": 0.0}
         # Observability: injectable per-engine registry (defaults to the
@@ -569,7 +562,7 @@ class QueryEngine:
             else:
                 # freeze() consults the same journal and refreshes the
                 # cached CompactGraph in place of a full rebuild.
-                snapshot = self._graph.freeze(shared=self._shared_snapshots)
+                snapshot = self._graph.freeze(shared=self._executor == "process")
             self._snapshot = snapshot
         return snapshot
 
@@ -856,13 +849,11 @@ class QueryEngine:
                 continue
             try:
                 if extends is not None and compact.token == extends:
-                    # preserve_flatness keeps a flat payload's view
-                    # wrapper flat, so its pickle stays a segment
-                    # handle across maintenance epochs.
-                    from repro.views.flatpack import preserve_flatness
-
-                    rebound = preserve_flatness(
-                        extension, compact.rebound(snapshot)
+                    rebound = MaterializedView(
+                        extension.definition,
+                        extension.edge_matches,
+                        extension.distances,
+                        compact.rebound(snapshot),
                     )
                 else:
                     rebound = bind_extension(extension, snapshot)

@@ -240,10 +240,7 @@ class Segment:
             )
         else:
             segment._bytes = bytearray(nbytes)
-            log.debug(
-                "shared memory unavailable/disabled: %d-byte segment "
-                "falls back to in-process bytes", nbytes,
-            )
+            log.debug("%d-byte segment in process memory (bytes backend)", nbytes)
         if segment.name:
             with _lock:
                 _owned[segment.name] = weakref.ref(segment)

@@ -19,7 +19,7 @@ Directory layout::
       shard-000.seg ...        # sharded: one sealed segment per shard
       patch-000.pkl ...        # sharded: per-shard patch overlays (optional)
       crosspred-000.pkl ...    # sharded: cross-shard predecessors by home shard
-      view-000.seg/.pkl ...    # FlatExtension view packs (compact snapshots)
+      view-000.seg/.pkl ...    # view payload packs (compact snapshots)
       view-000.view ...        # plain pickled views (sharded snapshots)
 
 The manifest is written *last*, so a directory without one is never
@@ -60,7 +60,7 @@ log = logging.getLogger(__name__)
 Node = Hashable
 
 MANIFEST_NAME = "manifest.json"
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 
 class SnapshotError(ValueError):
@@ -234,9 +234,9 @@ class SnapshotStore:
         :class:`SharedCompactGraph`, or a
         :class:`~repro.shard.sharded.ShardedGraph` (each shard shared
         in place).  ``views`` is a ViewSet or ``{name: MaterializedView}``
-        mapping; views whose payload is a FlatExtension bound to this
-        exact snapshot are saved as attachable segment files, everything
-        else falls back to a plain pickle.
+        mapping; views whose id-space payload is bound to this exact
+        snapshot are saved as attachable segment files, everything else
+        falls back to a plain pickle.
 
         With ``overwrite=True`` an existing snapshot is replaced via a
         sibling temp directory and rename swap, so readers never see a
@@ -443,8 +443,6 @@ def _write_sharded(dirpath: str, sharded) -> dict:
 def _write_views(
     dirpath: str, snapshot, extensions: Dict[str, Any], flat_token
 ) -> Dict[str, dict]:
-    from repro.views.flatpack import FlatExtension
-
     out: Dict[str, dict] = {}
     for idx, name in enumerate(sorted(extensions)):
         view = extensions[name]
@@ -453,18 +451,18 @@ def _write_views(
         if definition is None:
             log.warning("snapshot save: view %r has no definition; skipped", name)
             continue
-        if isinstance(payload, FlatExtension) and payload.token == flat_token:
+        if payload is not None and payload.token == flat_token:
             seg = f"view-{idx:03d}.seg"
             meta = f"view-{idx:03d}.pkl"
             payload.store.save(os.path.join(dirpath, seg))
             _dump(
                 {
                     "definition": definition,
-                    "nodes_extra": payload.nodes_extra,
+                    "nodes_extra": payload.nodes_extra or [],
                     "edge_order": payload.edge_order,
                     "token": payload.token,
                     "version": payload.version,
-                    "bounded": payload.distances is not None,
+                    "bounded": payload.bounded,
                 },
                 os.path.join(dirpath, meta),
             )
@@ -634,7 +632,8 @@ def _load_views(dirpath: str, manifest: dict, graph, verify: bool) -> Dict[str, 
     entries = manifest.get("views") or {}
     if not entries:
         return {}
-    from repro.views.flatpack import _attach_extension, _attach_view
+    from repro.views.flatpack import _attach_extension
+    from repro.views.view import _attach_view
 
     views: Dict[str, Any] = {}
     for name, entry in entries.items():
@@ -647,12 +646,13 @@ def _load_views(dirpath: str, manifest: dict, graph, verify: bool) -> Dict[str, 
         meta = _load_pickle(dirpath, entry["meta"])
         flat = _attach_extension(
             store,
-            graph.flat_store,
-            meta["nodes_extra"],
             meta["edge_order"],
+            meta["bounded"],
             meta["token"],
             meta["version"],
-            meta["bounded"],
+            None,
+            graph.flat_store,
+            meta["nodes_extra"],
         )
         views[name] = _attach_view(meta["definition"], flat)
     return views

@@ -21,9 +21,13 @@ Response (one JSON object per line)::
     {"ok": false, "error": "...", "retriable": bool}   # failures
 
 A shed request answers ``retriable: true`` (back off and resend); every
-other error answers ``retriable: false``.  Pattern and node encodings
-are exactly the :mod:`repro.graph.io` JSON formats, so pattern files
-written by ``repro generate`` can be sent verbatim.
+other error answers ``retriable: false``.  A request line longer than
+:data:`MAX_REQUEST_BYTES` answers ``{"ok": false, "error": "request too
+large", "retriable": false}`` and the server then closes that
+connection (the rest of the oversized line cannot be re-synchronized).
+Pattern and node encodings are exactly the :mod:`repro.graph.io` JSON
+formats, so pattern files written by ``repro generate`` can be sent
+verbatim.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ from repro.graph.io import node_from_json, node_to_json, pattern_from_json
 from repro.serve.server import QueryServer, ServedAnswer
 from repro.simulation.result import MatchResult
 from repro.views.maintenance import DELETE, INSERT, Delta
+
+#: Longest accepted request line in bytes (the stream reader's buffer
+#: limit; asyncio's 64 KiB default is too small for bulk updates).
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 
 def _encode_result(result: MatchResult) -> Dict[str, Any]:
@@ -150,7 +158,25 @@ async def handle_connection(
     log.debug("connection from %s", peer)
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                log.warning(
+                    "request from %s exceeds %d bytes; closing",
+                    peer, MAX_REQUEST_BYTES,
+                )
+                writer.write(
+                    json.dumps(
+                        {
+                            "ok": False,
+                            "error": "request too large",
+                            "retriable": False,
+                        }
+                    ).encode()
+                    + b"\n"
+                )
+                await writer.drain()
+                break
             if not line:
                 break
             line = line.strip()
@@ -196,4 +222,6 @@ async def serve_tcp(
     async def _handler(reader, writer):
         await handle_connection(server, reader, writer)
 
-    return await asyncio.start_server(_handler, host=host, port=port)
+    return await asyncio.start_server(
+        _handler, host=host, port=port, limit=MAX_REQUEST_BYTES
+    )

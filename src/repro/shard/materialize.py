@@ -10,11 +10,11 @@ fixpoints coordinated to the global fixpoint
 simple union because shards own disjoint source-node sets.
 
 The merged extension carries a
-:class:`~repro.views.view.CompactExtension` in the sharded graph's
+:class:`~repro.views.flatpack.FlatExtension` in the sharded graph's
 *composite* id space, stamped with its composite ``snapshot_token`` --
 so every extension materialized against the same sharded graph shares
-one token and the existing id-space MatchJoin fast path
-(:func:`repro.core.matchjoin._compact_match_join`) engages unchanged.
+one token and the id-space MatchJoin sweep
+(:func:`repro.core.matchjoin.id_fixpoint`) engages unchanged.
 
 Entry points:
 
@@ -39,20 +39,21 @@ import logging
 from typing import Iterable, Optional
 
 from repro.graph.pattern import BoundedPattern
+from repro.simulation.result import MatchResult
 from repro.shard.psim import (
     ShardRunner,
     _drive,
     _Evaluation,
-    _sharded_evaluate,
     sharded_bounded_match_with_ids,
+    sharded_match_with_ids,
 )
 from repro.shard.sharded import ShardedGraph
 from repro.views.storage import ViewSet
 from repro.views.view import (
-    CompactExtension,
     MaterializedView,
     ViewDefinition,
-    decode_distance_index,
+    bounded_extension,
+    simulation_extension,
 )
 
 log = logging.getLogger(__name__)
@@ -64,21 +65,13 @@ def _package(
     evaluation: _Evaluation,
 ) -> MaterializedView:
     """Fold a finished evaluation into a materialized extension."""
-    pattern = definition.pattern
     if evaluation.empty:
-        empty_ids = {edge: {} for edge in pattern.edges()}
-        return MaterializedView(
-            definition,
-            {edge: set() for edge in pattern.edges()},
-            compact=CompactExtension(
-                sharded, empty_ids, by_target={e: {} for e in pattern.edges()}
-            ),
-        )
-    compact = CompactExtension(
-        sharded, evaluation.id_matches, by_target=evaluation.by_target
-    )
-    return MaterializedView(
-        definition, evaluation.edge_matches, compact=compact
+        return simulation_extension(definition, sharded, None, None)
+    return simulation_extension(
+        definition,
+        sharded,
+        MatchResult(evaluation.node_matches, evaluation.edge_matches),
+        evaluation.id_matches,
     )
 
 
@@ -91,38 +84,15 @@ def materialize_bounded_view(
     bounded path may thread through several shards), so the evaluation
     runs the generic engine over the composite read API -- every
     distance question answered by the per-shard bounded BFS with
-    ghost-distance stitching.  The extension carries a composite-id
-    :class:`CompactExtension` whose ``distances`` payload is the
-    id-space index ``I(V)``, stamped with the composite snapshot token,
-    so the BMatchJoin id-space fast path engages on sharded bounded
-    views exactly as on single-snapshot ones.
+    ghost-distance stitching.  The extension's composite-id payload
+    carries the per-pair distances of ``I(V)``, stamped with the
+    composite snapshot token, so the BMatchJoin id-space path engages
+    on sharded bounded views exactly as on single-snapshot ones.
     """
-    pattern = definition.pattern
-    result, by_source, by_target, id_distances = sharded_bounded_match_with_ids(
-        pattern, sharded
+    result, id_matches, id_distances = sharded_bounded_match_with_ids(
+        definition.pattern, sharded
     )
-    if by_source is None:
-        empty_ids = {edge: {} for edge in pattern.edges()}
-        return MaterializedView(
-            definition,
-            {edge: set() for edge in pattern.edges()},
-            distances={},
-            compact=CompactExtension(
-                sharded,
-                empty_ids,
-                by_target={e: {} for e in pattern.edges()},
-                distances={},
-            ),
-        )
-    compact = CompactExtension(
-        sharded, by_source, by_target=by_target, distances=id_distances
-    )
-    return MaterializedView(
-        definition,
-        result.edge_matches,
-        distances=decode_distance_index(id_distances, sharded.node_table),
-        compact=compact,
-    )
+    return bounded_extension(definition, sharded, result, id_matches, id_distances)
 
 
 def materialize_view(
@@ -135,27 +105,17 @@ def materialize_view(
     """Evaluate one view on a sharded graph and build its extension.
 
     Simulation views run the partial-evaluation fixpoint shard-parallel
-    and attach a composite-id :class:`CompactExtension`; bounded views
-    go through :func:`materialize_bounded_view` (stitched bounded BFS,
-    composite-id distance payload).
+    and attach a composite-id payload; bounded views go through
+    :func:`materialize_bounded_view` (stitched bounded BFS, composite-id
+    distance payload).
     """
     pattern = definition.pattern
     if isinstance(pattern, BoundedPattern):
         return materialize_bounded_view(definition, sharded)
-    result, id_matches, by_target = _sharded_evaluate(
+    result, id_matches = sharded_match_with_ids(
         pattern, sharded, executor=executor, workers=workers, runner=runner
     )
-    if id_matches is None:
-        id_matches = {edge: {} for edge in pattern.edges()}
-        by_target = {edge: {} for edge in pattern.edges()}
-    compact = CompactExtension(sharded, id_matches, by_target=by_target)
-    if not result:
-        return MaterializedView(
-            definition,
-            {edge: set() for edge in pattern.edges()},
-            compact=compact,
-        )
-    return MaterializedView(definition, result.edge_matches, compact=compact)
+    return simulation_extension(definition, sharded, result, id_matches)
 
 
 def parallel_materialize(

@@ -454,7 +454,7 @@ class ShardedGraph:
         return self.partition.boundary_nodes
 
     # ------------------------------------------------------------------
-    # Composite id space (what CompactExtension consumes)
+    # Composite id space (what extension payloads use)
     # ------------------------------------------------------------------
     def id_of(self, node: Node) -> int:
         """The composite global id of ``node`` (KeyError if absent)."""

@@ -20,7 +20,7 @@ Results decode back to original node keys at the very end, so a
 :class:`MatchResult` from this engine is equal (``==``) to one computed
 on the mutable dict backend; the id-space edge matches and the id-space
 distance index additionally feed the
-:class:`~repro.views.view.CompactExtension` payload that bounded view
+:class:`~repro.views.flatpack.FlatExtension` payload that bounded view
 materialization stores for the BMatchJoin fast path.
 """
 
@@ -224,7 +224,7 @@ def compact_bounded_match_with_ids(
 ) -> Tuple[MatchResult, Optional[IdEdgeMatches], Optional[IdDistances]]:
     """Evaluate ``Qb`` on a snapshot; also return the id-space payload.
 
-    The second and third components feed the compact extension payload
+    The second and third components feed the id-space extension payload
     bounded view materialization stores (``None`` on a failed match, and
     the distance index only with ``with_distances=True``).
     """

@@ -244,7 +244,7 @@ def compact_match_with_ids(
 ) -> Tuple[MatchResult, Optional[IdEdgeMatches]]:
     """Evaluate ``Qs`` on a snapshot; also return the id-space matches.
 
-    The second component feeds the compact extension payload view
+    The second component feeds the id-space extension payload view
     materialization stores (``None`` on a failed match).
     """
     sim = compact_maximum_simulation(pattern, graph)

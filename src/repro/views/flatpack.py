@@ -1,60 +1,59 @@
-"""Flat-buffer view extensions: zero-copy shippable ``V(G)`` payloads.
+"""Id-space view extensions: one pair-row payload per snapshot-bound ``V(G)``.
 
-Materializing against a :class:`~repro.graph.flatbuf.SharedCompactGraph`
-produces a :class:`FlatMaterializedView`: the same extension object as
-always, plus
+Materializing a view against a frozen snapshot -- a plain
+:class:`~repro.graph.compact.CompactGraph`, a
+:class:`~repro.graph.flatbuf.SharedCompactGraph` or a
+:class:`~repro.shard.sharded.ShardedGraph` -- attaches a
+:class:`FlatExtension` to the materialized view: the same match sets
+in the snapshot's integer-id space, stored as
 
-* a :class:`FlatExtension` payload whose per-view-edge **match pairs
-  live in one flat segment** (``pairs_indptr`` CSR over parallel
-  ``pairs_src`` / ``pairs_tgt`` id arrays, bounded views adding the
-  minimized ``I(V)`` as ``dist_*`` triples), and
-* precomputed per-edge **key and node frozensets** (``src_keys``,
-  ``tgt_keys``, ``src_nodes``, ``tgt_nodes``) that the flat MatchJoin
-  fixpoint (:func:`repro.core.matchjoin.flat_candidate_fixpoint`) uses
-  for batch set-ops instead of dict churn.
+* one :class:`~repro.graph.flatbuf.FlatStore` holding, per view edge,
+  parallel ``pairs_src`` / ``pairs_tgt`` id rows (a ``pairs_indptr``
+  CSR over view edges), and for bounded views ``pairs_dist``: the
+  minimized ``I(V)`` distance of every pair row;
+* per-edge **key and node frozensets** (``src_keys``, ``tgt_keys``,
+  ``src_nodes``, ``tgt_nodes``), decoded from the rows on first use,
+  that the id-space MatchJoin sweep
+  (:func:`repro.core.matchjoin.id_fixpoint`) combines with batch
+  set-ops.
 
-Pickling ships segment handles + a small meta tuple -- the decoded
-node-key sets, grouped id indexes and distance tables are **not**
-serialized; a pool worker attaches the segments and materializes each
-per-edge structure lazily on first touch.  The snapshot's own store is
-referenced (not copied) for the id -> node-key decode table, so when a
-payload dict carrying the snapshot and twenty extensions goes through
-one ``pickle.dumps``, the node table ships exactly once and every
-worker-side object resolves to the same attached segment.
+Where the store lives follows the snapshot: against a shared snapshot
+it is a named segment (``REPRO_FLAT_BACKEND``, shared memory by
+default), so pickling ships a segment handle and a process-pool worker
+attaches instead of deserializing; against any other snapshot it is an
+in-process ``bytes`` segment (no ``/dev/shm`` entry), whose pickle
+carries the raw rows.  The id -> node key decode table is referenced,
+not copied: a shared snapshot's own store stands in for it, so when a
+payload carrying the snapshot and twenty extensions goes through one
+``pickle.dumps``, the node table ships exactly once.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from itertools import repeat
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.graph.flatbuf import FlatStore, SharedCompactGraph, _LazyNodeTable
-from repro.views.view import (
-    CompactExtension,
-    MaterializedView,
-    ViewDefinition,
-)
+from repro.simulation.compact_engine import IdEdgeMatches
 
 PEdge = Tuple[Hashable, Hashable]
 Node = Hashable
 NodePair = Tuple[Node, Node]
 
 
-# ----------------------------------------------------------------------
-# Worker-side lazy structures
-# ----------------------------------------------------------------------
 class _PerEdgeLazy(dict):
     """``{view edge: <structure>}`` decoded per edge on first access."""
 
-    __slots__ = ("_pack", "_kind")
+    __slots__ = ("_payload", "_kind")
 
-    def __init__(self, pack: "_AttachedPack", kind: str) -> None:
+    def __init__(self, payload: "FlatExtension", kind: str) -> None:
         super().__init__()
-        self._pack = pack
+        self._payload = payload
         self._kind = kind
 
     def __missing__(self, edge):
-        value = self._pack.build(self._kind, edge)
+        value = self._payload._build(self._kind, edge)
         dict.__setitem__(self, edge, value)
         return value
 
@@ -65,17 +64,17 @@ class _PerEdgeLazy(dict):
             return default
 
     def _ensure_all(self) -> None:
-        for edge in self._pack.edge_order:
+        for edge in self._payload.edge_order:
             self[edge]
 
     def __contains__(self, edge) -> bool:
-        return edge in self._pack.edge_index
+        return edge in self._payload._index
 
     def __len__(self) -> int:
-        return len(self._pack.edge_order)
+        return len(self._payload.edge_order)
 
     def __iter__(self):
-        return iter(self._pack.edge_order)
+        return iter(self._payload.edge_order)
 
     def keys(self):
         self._ensure_all()
@@ -100,35 +99,26 @@ class _PerEdgeLazy(dict):
 
 
 class _LazyDistances(dict):
-    """A distance index decoded from the flat triples on first use.
+    """The node-key distance index ``I(V)``, decoded from the pair rows
+    on first use (``pairs_dist`` is already minimized per pair)."""
 
-    ``decode=None`` yields the id-space table (``CompactExtension
-    .distances``); with a node table it yields the node-key form
-    (``MaterializedView.distances``).
-    """
+    __slots__ = ("_payload", "_ready")
 
-    __slots__ = ("_store", "_decode", "_ready")
-
-    def __init__(self, store: FlatStore, decode=None) -> None:
+    def __init__(self, payload: "FlatExtension") -> None:
         super().__init__()
-        self._store = store
-        self._decode = decode
+        self._payload = payload
         self._ready = False
 
     def _ensure(self) -> None:
         if not self._ready:
-            store = self._store
-            src = store.ints("dist_src")
-            tgt = store.ints("dist_tgt")
-            val = store.ints("dist_val")
-            decode = self._decode
-            if decode is None:
-                self.update(zip(zip(src, tgt), val))
-            else:
-                self.update(
-                    ((decode(v), decode(w)), d)
-                    for v, w, d in zip(src, tgt, val)
+            ints = self._payload.store.ints
+            decode = self._payload.nodes.__getitem__
+            self.update(
+                ((decode(v), decode(w)), d)
+                for v, w, d in zip(
+                    ints("pairs_src"), ints("pairs_tgt"), ints("pairs_dist")
                 )
+            )
             self._ready = True
 
     def __missing__(self, key):
@@ -175,281 +165,205 @@ class _LazyDistances(dict):
     __hash__ = None
 
 
-class _AttachedPack:
-    """Shared decode context for one attached extension store."""
+class FlatExtension:
+    """Id-space form of one extension, bound to one snapshot.
 
-    __slots__ = ("store", "nodes", "edge_order", "edge_index")
+    Attributes
+    ----------
+    token / version:
+        The owning snapshot's :attr:`snapshot_token` /
+        :attr:`snapshot_version`.  Two extensions exchange raw ids only
+        when their tokens agree.
+    nodes:
+        The id -> node key decode table of the snapshot.
+    store / edge_order:
+        The pair-row segment and the view edges in CSR order; see
+        :meth:`pair_rows` and :meth:`dist_row`.
+    bounded:
+        Whether the rows carry ``pairs_dist`` (bounded views).
+    src_keys / tgt_keys / src_nodes / tgt_nodes:
+        ``{view edge: frozenset}`` of the source / target ids and their
+        decoded node keys, built lazily per edge.
 
-    def __init__(self, store: FlatStore, nodes, edge_order: List[PEdge]):
-        self.store = store
-        self.nodes = nodes
-        self.edge_order = edge_order
-        self.edge_index = {edge: k for k, edge in enumerate(edge_order)}
-
-    def _slices(self, edge: PEdge):
-        k = self.edge_index[edge]  # KeyError for foreign edges, as dicts do
-        indptr = self.store.ints("pairs_indptr")
-        lo, hi = indptr[k], indptr[k + 1]
-        return (
-            self.store.ints("pairs_src")[lo:hi],
-            self.store.ints("pairs_tgt")[lo:hi],
-        )
-
-    def build(self, kind: str, edge: PEdge):
-        src, tgt = self._slices(edge)
-        if kind == "by_source":
-            grouped: Dict[int, Set[int]] = {}
-            for v, w in zip(src, tgt):
-                group = grouped.get(v)
-                if group is None:
-                    grouped[v] = {w}
-                else:
-                    group.add(w)
-            return grouped
-        if kind == "by_target":
-            grouped = {}
-            for v, w in zip(src, tgt):
-                group = grouped.get(w)
-                if group is None:
-                    grouped[w] = {v}
-                else:
-                    group.add(v)
-            return grouped
-        if kind == "src_keys":
-            return frozenset(src)
-        if kind == "tgt_keys":
-            return frozenset(tgt)
-        decode = self.nodes.__getitem__
-        if kind == "src_nodes":
-            return frozenset(map(decode, frozenset(src)))
-        if kind == "tgt_nodes":
-            return frozenset(map(decode, frozenset(tgt)))
-        if kind == "pairs":
-            return set(zip(map(decode, src), map(decode, tgt)))
-        raise AssertionError(kind)
-
-
-# ----------------------------------------------------------------------
-# FlatExtension
-# ----------------------------------------------------------------------
-class FlatExtension(CompactExtension):
-    """A :class:`CompactExtension` backed by a flat segment.
-
-    Adds the per-view-edge frozensets the flat fixpoint consumes and a
-    ``__reduce__`` that ships segment handles instead of the grouped
-    indexes.  In the creator process every inherited field references
-    the ordinary materialization products (same in-process performance);
-    in a worker they are the lazy decoders above.
+    Immutable once packed; :meth:`rebound` re-stamps provenance without
+    touching the rows.
     """
 
     __slots__ = (
+        "token",
+        "version",
+        "nodes",
+        "snap_store",
+        "nodes_extra",
+        "store",
+        "edge_order",
+        "bounded",
+        "_index",
         "src_keys",
         "tgt_keys",
         "src_nodes",
         "tgt_nodes",
-        "store",
-        "snap_store",
-        "nodes_extra",
-        "edge_order",
     )
 
     @classmethod
     def pack(
-        cls, snapshot: SharedCompactGraph, base: CompactExtension
+        cls,
+        snapshot,
+        id_matches: IdEdgeMatches,
+        distances: Optional[Dict[Tuple[int, int], int]] = None,
     ) -> "FlatExtension":
-        """Creator-side: flatten ``base`` (bound to ``snapshot``)."""
-        edge_order = list(base.by_source)
+        """Pack grouped id-space match sets (and, for bounded views, the
+        minimized id-space distance index) bound to ``snapshot``."""
+        edge_order = list(id_matches)
         indptr = array("q", [0])
         src = array("q")
         tgt = array("q")
-        total = 0
+        dist = array("q") if distances is not None else None
         for edge in edge_order:
-            for v, targets in base.by_source[edge].items():
-                src.extend([v] * len(targets))
+            for v, targets in id_matches[edge].items():
+                src.extend(repeat(v, len(targets)))
                 tgt.extend(targets)
-                total += len(targets)
-            indptr.append(total)
+                if dist is not None:
+                    dist.extend([distances[v, w] for w in targets])
+            indptr.append(len(src))
         arrays = {"pairs_indptr": indptr, "pairs_src": src, "pairs_tgt": tgt}
-        if base.distances is not None:
-            d_src = array("q")
-            d_tgt = array("q")
-            d_val = array("q")
-            for (v, w), d in base.distances.items():
-                d_src.append(v)
-                d_tgt.append(w)
-                d_val.append(d)
-            arrays.update(dist_src=d_src, dist_tgt=d_tgt, dist_val=d_val)
-        store = FlatStore.pack(arrays=arrays, blobs={})
-        flat = cls.__new__(cls)
-        flat.token = base.token
-        flat.version = base.version
-        flat.nodes = base.nodes
-        flat.by_source = base.by_source
-        flat.by_target = base.by_target
-        flat.distances = base.distances
-        decode = base.nodes.__getitem__
-        flat.src_keys = {}
-        flat.tgt_keys = {}
-        flat.src_nodes = {}
-        flat.tgt_nodes = {}
-        for edge in edge_order:
-            src_keys = frozenset(base.by_source[edge])
-            tgt_keys = frozenset(base.by_target[edge])
-            flat.src_keys[edge] = src_keys
-            flat.tgt_keys[edge] = tgt_keys
-            flat.src_nodes[edge] = frozenset(map(decode, src_keys))
-            flat.tgt_nodes[edge] = frozenset(map(decode, tgt_keys))
-        flat.store = store
-        flat.snap_store = snapshot.flat_store
-        patch = snapshot._patch
-        flat.nodes_extra = list(patch["nodes"]) if patch else []
-        flat.edge_order = edge_order
+        if dist is not None:
+            arrays["pairs_dist"] = dist
+        backend = None if isinstance(snapshot, SharedCompactGraph) else "bytes"
+        store = FlatStore.pack(arrays=arrays, blobs={}, backend=backend)
+        flat = cls._over(store, edge_order, dist is not None)
+        flat._bind(snapshot)
         return flat
 
-    def pair_rows(self, view_edge: PEdge):
-        """The raw ``(src, tgt)`` id rows of one view edge.
+    @classmethod
+    def _over(
+        cls, store: FlatStore, edge_order: List[PEdge], bounded: bool
+    ) -> "FlatExtension":
+        flat = cls.__new__(cls)
+        flat.store = store
+        flat.edge_order = edge_order
+        flat.bounded = bounded
+        flat._index = {edge: k for k, edge in enumerate(edge_order)}
+        flat.src_keys = _PerEdgeLazy(flat, "src_keys")
+        flat.tgt_keys = _PerEdgeLazy(flat, "tgt_keys")
+        flat.src_nodes = _PerEdgeLazy(flat, "src_nodes")
+        flat.tgt_nodes = _PerEdgeLazy(flat, "tgt_nodes")
+        return flat
 
-        Parallel ``"q"`` slices straight out of the segment -- the unit
-        the flat fixpoint sweeps with batch set-ops.  Works identically
-        creator-side and worker-side (both hold ``store`` +
-        ``edge_order``); nothing is decoded or grouped.
-        """
-        k = self.edge_order.index(view_edge)
+    def _bind(self, snapshot) -> None:
+        self.token = snapshot.snapshot_token
+        self.version = snapshot.snapshot_version
+        self.nodes = snapshot.node_table
+        if isinstance(snapshot, SharedCompactGraph):
+            # Pickles reference the snapshot's segment for the node
+            # table instead of copying it.
+            patch = snapshot._patch
+            self.snap_store = snapshot.flat_store
+            self.nodes_extra = list(patch["nodes"]) if patch else []
+        else:
+            self.snap_store = None
+            self.nodes_extra = None
+
+    def _build(self, kind: str, edge: PEdge):
+        if kind == "src_keys":
+            return frozenset(self.pair_rows(edge)[0])
+        if kind == "tgt_keys":
+            return frozenset(self.pair_rows(edge)[1])
+        decode = self.nodes.__getitem__
+        if kind == "src_nodes":
+            return frozenset(map(decode, self.src_keys[edge]))
+        if kind == "tgt_nodes":
+            return frozenset(map(decode, self.tgt_keys[edge]))
+        if kind == "pairs":
+            src, tgt = self.pair_rows(edge)
+            return set(zip(map(decode, src), map(decode, tgt)))
+        raise AssertionError(kind)
+
+    def _span(self, view_edge: PEdge) -> Tuple[int, int]:
+        k = self._index[view_edge]  # KeyError for foreign edges, as dicts do
+        indptr = self.store.ints("pairs_indptr")
+        return indptr[k], indptr[k + 1]
+
+    def pair_rows(self, view_edge: PEdge):
+        """The raw ``(src, tgt)`` id rows of one view edge: parallel
+        zero-copy slices of the segment, nothing decoded or grouped."""
+        lo, hi = self._span(view_edge)
         ints = self.store.ints
-        indptr = ints("pairs_indptr")
-        lo, hi = indptr[k], indptr[k + 1]
         return ints("pairs_src")[lo:hi], ints("pairs_tgt")[lo:hi]
 
-    def __reduce__(self):
-        return (
-            _attach_extension,
-            (
-                self.store,
-                self.snap_store,
-                self.nodes_extra,
-                self.edge_order,
-                self.token,
-                self.version,
-                self.distances is not None,
-            ),
-        )
+    def dist_row(self, view_edge: PEdge):
+        """The ``I(V)`` distance of each pair row of one view edge
+        (bounded views only)."""
+        lo, hi = self._span(view_edge)
+        return self.store.ints("pairs_dist")[lo:hi]
 
-    def rebound(self, snapshot) -> CompactExtension:
-        """Flatness-preserving re-stamp onto a refreshed shared
-        snapshot (same contract as the base method)."""
-        if not isinstance(snapshot, SharedCompactGraph):
-            return CompactExtension.rebound(self, snapshot)
+    def rebound(self, snapshot) -> "FlatExtension":
+        """The same rows re-stamped onto ``snapshot``.
+
+        Valid only when ``snapshot`` *extends* this payload's id space
+        -- i.e. it was refreshed from the snapshot this extension was
+        materialized against (``snapshot.extends_token == self.token``),
+        which guarantees every pre-existing node kept its id.  The
+        maintenance pipeline uses this to keep the id-space MatchJoin
+        engaged for views an update did not touch, at zero cost.
+        """
         if getattr(snapshot, "extends_token", None) != self.token:
             raise ValueError(
                 "snapshot does not extend this extension's id space; "
                 "re-materialize or bind_extension() instead"
             )
         clone = FlatExtension.__new__(FlatExtension)
-        clone.token = snapshot.snapshot_token
-        clone.version = snapshot.snapshot_version
-        clone.nodes = snapshot.node_table
-        clone.by_source = self.by_source
-        clone.by_target = self.by_target
-        clone.distances = self.distances
-        clone.src_keys = self.src_keys
-        clone.tgt_keys = self.tgt_keys
-        clone.src_nodes = self.src_nodes
-        clone.tgt_nodes = self.tgt_nodes
-        clone.store = self.store
-        clone.snap_store = snapshot.flat_store
-        patch = snapshot._patch
-        clone.nodes_extra = list(patch["nodes"]) if patch else []
-        clone.edge_order = self.edge_order
+        for slot in FlatExtension.__slots__:
+            setattr(clone, slot, getattr(self, slot))
+        clone._bind(snapshot)
         return clone
+
+    def __reduce__(self):
+        return (
+            _attach_extension,
+            (
+                self.store,
+                self.edge_order,
+                self.bounded,
+                self.token,
+                self.version,
+                None if self.snap_store is not None else self.nodes,
+                self.snap_store,
+                self.nodes_extra,
+            ),
+        )
 
 
 def _attach_extension(
     store: FlatStore,
-    snap_store: FlatStore,
-    nodes_extra: List[Node],
     edge_order: List[PEdge],
+    bounded: bool,
     token: int,
     version: int,
-    bounded: bool,
+    nodes,
+    snap_store: Optional[FlatStore] = None,
+    nodes_extra: Optional[List[Node]] = None,
 ) -> FlatExtension:
-    nodes = _LazyNodeTable(snap_store, nodes_extra or None)
-    pack = _AttachedPack(store, nodes, edge_order)
-    flat = FlatExtension.__new__(FlatExtension)
+    """Rebuild a payload from its pickle or from a saved view pack."""
+    flat = FlatExtension._over(store, edge_order, bounded)
     flat.token = token
     flat.version = version
-    flat.nodes = nodes
-    flat.by_source = _PerEdgeLazy(pack, "by_source")
-    flat.by_target = _PerEdgeLazy(pack, "by_target")
-    flat.distances = _LazyDistances(store) if bounded else None
-    flat.src_keys = _PerEdgeLazy(pack, "src_keys")
-    flat.tgt_keys = _PerEdgeLazy(pack, "tgt_keys")
-    flat.src_nodes = _PerEdgeLazy(pack, "src_nodes")
-    flat.tgt_nodes = _PerEdgeLazy(pack, "tgt_nodes")
-    flat.store = store
     flat.snap_store = snap_store
     flat.nodes_extra = nodes_extra
-    flat.edge_order = edge_order
+    flat.nodes = (
+        _LazyNodeTable(snap_store, nodes_extra or None)
+        if snap_store is not None
+        else nodes
+    )
     return flat
 
 
-# ----------------------------------------------------------------------
-# FlatMaterializedView
-# ----------------------------------------------------------------------
-class FlatMaterializedView(MaterializedView):
-    """A :class:`MaterializedView` whose pickle is a segment handle.
-
-    Creator-side it is a plain materialized view (node-key sets and the
-    flat payload both present).  Worker-side reconstruction decodes
-    ``edge_matches`` (and the node-key distance index) lazily from the
-    payload's segment, so specs that run entirely in id space never pay
-    the decode at all.
-    """
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return (_attach_view, (self.definition, self.compact))
+def lazy_edge_matches(payload: FlatExtension) -> Dict[PEdge, Set[NodePair]]:
+    """Node-key match sets decoded per view edge on first access."""
+    return _PerEdgeLazy(payload, "pairs")
 
 
-def _attach_view(
-    definition: ViewDefinition, flat: FlatExtension
-) -> FlatMaterializedView:
-    pack = _AttachedPack(flat.store, flat.nodes, flat.edge_order)
-    edge_matches = _PerEdgeLazy(pack, "pairs")
-    distances = (
-        _LazyDistances(flat.store, decode=flat.nodes.__getitem__)
-        if flat.distances is not None
-        else None
-    )
-    return FlatMaterializedView(definition, edge_matches, distances, flat)
-
-
-def flatten_view(
-    view: MaterializedView, snapshot: SharedCompactGraph
-) -> FlatMaterializedView:
-    """The flat form of a freshly materialized view (idempotent)."""
-    if isinstance(view, FlatMaterializedView):
-        return view
-    flat = FlatExtension.pack(snapshot, view.compact)
-    return FlatMaterializedView(
-        view.definition, view.edge_matches, view.distances, flat
-    )
-
-
-def preserve_flatness(
-    view: MaterializedView, payload: CompactExtension
-) -> MaterializedView:
-    """Rewrap a rebind product so flat views stay flat.
-
-    The maintenance pipeline re-stamps unchanged views onto refreshed
-    snapshots via ``payload.rebound(snapshot)``; when the rebound
-    payload is still flat, the view object should stay a
-    :class:`FlatMaterializedView` so its pickle stays a handle.
-    """
-    if isinstance(payload, FlatExtension):
-        return FlatMaterializedView(
-            view.definition, view.edge_matches, view.distances, payload
-        )
-    return MaterializedView(
-        view.definition, view.edge_matches, view.distances, payload
-    )
+def lazy_distances(payload: FlatExtension) -> Optional[Dict[NodePair, int]]:
+    """The node-key ``I(V)`` decoded on first use (``None`` unless the
+    payload is bounded)."""
+    return _LazyDistances(payload) if payload.bounded else None

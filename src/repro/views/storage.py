@@ -271,7 +271,7 @@ class ViewSet:
         The provenance-only sibling of :meth:`set_extension`: the match
         sets must be unchanged and only the id-space payload differs
         (re-stamped onto a refreshed snapshot via
-        :meth:`~repro.views.view.CompactExtension.rebound` or
+        :meth:`~repro.views.flatpack.FlatExtension.rebound` or
         :func:`~repro.views.view.bind_extension`).  Because no version
         moves, cached answers over the view stay live -- which is the
         point: snapshot refreshes must not masquerade as data changes.

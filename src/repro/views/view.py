@@ -12,13 +12,13 @@ The extension deliberately does *not* keep a reference to ``G``:
 MatchJoin must run "without accessing G at all" (Theorem 1), and keeping
 the graph out of the extension object makes that guarantee structural.
 
-Materializing against a frozen :class:`~repro.graph.compact.CompactGraph`
-snapshot additionally attaches a :class:`CompactExtension` -- the same
-match sets in the snapshot's integer-id space, pre-grouped by source and
-by target, stamped with the snapshot's token/version.  MatchJoin
-recognises extensions that share a snapshot and runs its fixpoint
-directly on the id-space indexes (still never touching adjacency, so
-Theorem 1's guarantee is intact).
+Materializing against a frozen snapshot (plain, shared or sharded)
+additionally attaches a :class:`~repro.views.flatpack.FlatExtension` --
+the same match sets in the snapshot's integer-id space as per-edge pair
+rows, stamped with the snapshot's token/version.  MatchJoin recognises
+extensions that share a snapshot and runs its fixpoint directly on the
+rows (still never touching adjacency, so Theorem 1's guarantee is
+intact).
 """
 
 from __future__ import annotations
@@ -32,94 +32,12 @@ from repro.graph.pattern import BoundedPattern, Pattern
 from repro.simulation.bounded import bounded_match_with_distances
 from repro.simulation.compact_engine import IdEdgeMatches, compact_match_with_ids
 from repro.simulation.simulation import match as _match
+from repro.views.flatpack import FlatExtension, lazy_distances, lazy_edge_matches
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
 Node = Hashable
 NodePair = Tuple[Node, Node]
-
-
-class CompactExtension:
-    """Id-space form of one extension, bound to one snapshot.
-
-    Attributes
-    ----------
-    token / version:
-        The owning snapshot's :attr:`snapshot_token` /
-        :attr:`snapshot_version`.  Two extensions exchange raw ids only
-        when their tokens agree.
-    nodes:
-        The id -> node key decode table, shared by reference with the
-        snapshot (and with every sibling extension of the same
-        snapshot).
-    by_source / by_target:
-        ``{view edge: {id: set of ids}}`` -- the match sets grouped both
-        ways, ready for the MatchJoin fixpoint.  Treated as immutable;
-        consumers copy before refining.
-    distances:
-        For bounded views, the id-space distance index ``I(V)``:
-        ``{(source id, target id): distance}`` over every materialized
-        pair, minimized across view edges -- the same semantics as
-        :attr:`MaterializedView.distances`, so BMatchJoin's id-space
-        bound filtering is pair-for-pair identical to the node-key
-        path.  ``None`` for simulation views (pairs are data edges,
-        distance 1 by construction).
-    """
-
-    __slots__ = (
-        "token",
-        "version",
-        "nodes",
-        "by_source",
-        "by_target",
-        "distances",
-    )
-
-    def __init__(
-        self,
-        snapshot: CompactGraph,
-        id_matches: IdEdgeMatches,
-        by_target: Optional[IdEdgeMatches] = None,
-        distances: Optional[Dict[Tuple[int, int], int]] = None,
-    ) -> None:
-        self.token = snapshot.snapshot_token
-        self.version = snapshot.snapshot_version
-        self.nodes: List[Node] = snapshot.node_table
-        self.by_source: IdEdgeMatches = id_matches
-        if by_target is None:
-            by_target = {}
-            for edge, grouped in id_matches.items():
-                reverse: Dict[int, Set[int]] = {}
-                for v, targets in grouped.items():
-                    for w in targets:
-                        reverse.setdefault(w, set()).add(v)
-                by_target[edge] = reverse
-        self.by_target = by_target
-        self.distances = distances
-
-    def rebound(self, snapshot) -> "CompactExtension":
-        """The same match sets re-stamped onto ``snapshot``.
-
-        Valid only when ``snapshot`` *extends* this payload's id space
-        -- i.e. it was refreshed from the snapshot this extension was
-        materialized against (``snapshot.extends_token == self.token``),
-        which guarantees every pre-existing node kept its id.  The
-        maintenance pipeline uses this to keep the MatchJoin fast path
-        engaged for views an update did not touch, at zero cost.
-        """
-        if getattr(snapshot, "extends_token", None) != self.token:
-            raise ValueError(
-                "snapshot does not extend this extension's id space; "
-                "re-materialize or bind_extension() instead"
-            )
-        clone = CompactExtension.__new__(CompactExtension)
-        clone.token = snapshot.snapshot_token
-        clone.version = snapshot.snapshot_version
-        clone.nodes = snapshot.node_table
-        clone.by_source = self.by_source
-        clone.by_target = self.by_target
-        clone.distances = self.distances
-        return clone
 
 
 class ViewDefinition:
@@ -180,9 +98,11 @@ class MaterializedView:
         -- the index ``I(V)``.  ``None`` for simulation views, whose
         pairs are data edges (distance 1 by construction).
     compact:
-        Optional :class:`CompactExtension` carrying the same match sets
-        in snapshot id space (set when the view was materialized
-        against a :class:`~repro.graph.compact.CompactGraph`).
+        Optional :class:`~repro.views.flatpack.FlatExtension` carrying
+        the same match sets in snapshot id space (set when the view was
+        materialized against a snapshot).  A view with one pickles as
+        its definition plus the payload; the node-key sets are decoded
+        lazily on the other side.
     """
 
     __slots__ = ("definition", "edge_matches", "distances", "compact", "_size")
@@ -192,7 +112,7 @@ class MaterializedView:
         definition: ViewDefinition,
         edge_matches: Dict[PEdge, Set[NodePair]],
         distances: Optional[Dict[NodePair, int]] = None,
-        compact: Optional[CompactExtension] = None,
+        compact: Optional[FlatExtension] = None,
     ) -> None:
         self.definition = definition
         self.edge_matches = edge_matches
@@ -251,8 +171,20 @@ class MaterializedView:
             return 1
         return self.distances[pair]
 
+    def __reduce__(self):
+        if self.compact is not None:
+            return (_attach_view, (self.definition, self.compact))
+        return (MaterializedView, (self.definition, self.edge_matches, self.distances))
+
     def __repr__(self) -> str:
         return f"MaterializedView({self.name!r}, pairs={self.num_pairs})"
+
+
+def _attach_view(definition: ViewDefinition, payload: FlatExtension) -> MaterializedView:
+    """Rebuild a pickled (or saved) snapshot-bound view from its payload."""
+    return MaterializedView(
+        definition, lazy_edge_matches(payload), lazy_distances(payload), payload
+    )
 
 
 def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedView:
@@ -261,10 +193,11 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
     Simulation views store the match sets of the unique maximum match;
     bounded views additionally store the distance index ``I(V)``.
     ``graph`` may be a frozen :class:`CompactGraph` or a
-    :class:`~repro.shard.sharded.ShardedGraph`, in which case
-    simulation extensions also carry the id-space
-    :class:`CompactExtension` payload for the MatchJoin fast path
-    (composite ids for sharded graphs, computed shard by shard).
+    :class:`~repro.shard.sharded.ShardedGraph`, in which case the
+    extension also carries the id-space
+    :class:`~repro.views.flatpack.FlatExtension` payload for the
+    MatchJoin fast path (composite ids for sharded graphs, computed
+    shard by shard).
     """
     pattern = definition.pattern
     # Shard layer dispatch (sys.modules probe: if the shard subpackage
@@ -279,8 +212,15 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
 
             return materialize_bounded_view(definition, graph)
         if isinstance(graph, CompactGraph):
-            return _flatten_if_shared(
-                _materialize_bounded_compact(definition, graph), graph
+            from repro.simulation.compact_bounded import (
+                compact_bounded_match_with_ids,
+            )
+
+            result, id_matches, id_distances = compact_bounded_match_with_ids(
+                pattern, graph, with_distances=True
+            )
+            return bounded_extension(
+                definition, graph, result, id_matches, id_distances
             )
         result, per_edge_distances = bounded_match_with_distances(pattern, graph)
         if not result:
@@ -302,22 +242,7 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
         return materialize_view(definition, graph)
     if isinstance(graph, CompactGraph):
         result, id_matches = compact_match_with_ids(pattern, graph)
-        if id_matches is None:
-            id_matches = {edge: {} for edge in pattern.edges()}
-        compact = CompactExtension(graph, id_matches)
-        if not result:
-            return _flatten_if_shared(
-                MaterializedView(
-                    definition,
-                    {edge: set() for edge in pattern.edges()},
-                    compact=compact,
-                ),
-                graph,
-            )
-        return _flatten_if_shared(
-            MaterializedView(definition, result.edge_matches, compact=compact),
-            graph,
-        )
+        return simulation_extension(definition, graph, result, id_matches)
     result = _match(pattern, graph)
     if not result:
         return MaterializedView(
@@ -326,16 +251,57 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
     return MaterializedView(definition, result.edge_matches)
 
 
-def _flatten_if_shared(view: MaterializedView, graph: CompactGraph):
-    """Upgrade to a flat-buffer extension when the snapshot is shared
-    (pickles as a segment handle; see :mod:`repro.views.flatpack`)."""
-    from repro.graph.flatbuf import SharedCompactGraph
+def simulation_extension(
+    definition: ViewDefinition,
+    snapshot,
+    result,
+    id_matches: Optional[IdEdgeMatches],
+) -> MaterializedView:
+    """Package a snapshot evaluation of a simulation view: node-key
+    match sets plus the id-space payload (``id_matches`` is ``None``
+    when the view did not match)."""
+    edges = definition.pattern.edges()
+    if id_matches is None or not result:
+        id_matches = {edge: {} for edge in edges}
+        edge_matches = {edge: set() for edge in edges}
+    else:
+        edge_matches = result.edge_matches
+    return MaterializedView(
+        definition, edge_matches, compact=FlatExtension.pack(snapshot, id_matches)
+    )
 
-    if not isinstance(graph, SharedCompactGraph):
-        return view
-    from repro.views.flatpack import flatten_view
 
-    return flatten_view(view, graph)
+def bounded_extension(
+    definition: ViewDefinition,
+    snapshot,
+    result,
+    id_matches: Optional[IdEdgeMatches],
+    id_distances: Optional[Dict[Tuple[int, int], int]],
+) -> MaterializedView:
+    """Package a snapshot evaluation of a bounded view.
+
+    The payload's per-pair distances come from the id-space index
+    ``I(V)`` built during materialization -- never re-derived per query
+    -- so BMatchJoin's id-space bound filtering decodes nothing, and the
+    node-key index on the view is decoded from the same table, so the
+    two forms of ``I(V)`` cannot drift.
+    """
+    edges = definition.pattern.edges()
+    if id_matches is None:
+        return MaterializedView(
+            definition,
+            {edge: set() for edge in edges},
+            distances={},
+            compact=FlatExtension.pack(
+                snapshot, {edge: {} for edge in edges}, distances={}
+            ),
+        )
+    return MaterializedView(
+        definition,
+        result.edge_matches,
+        distances=decode_distance_index(id_distances, snapshot.node_table),
+        compact=FlatExtension.pack(snapshot, id_matches, distances=id_distances),
+    )
 
 
 def decode_distance_index(
@@ -346,43 +312,6 @@ def decode_distance_index(
     return {
         (decode(v), decode(w)): d for (v, w), d in id_distances.items()
     }
-
-
-def _materialize_bounded_compact(
-    definition: ViewDefinition, graph: CompactGraph
-) -> MaterializedView:
-    """Bounded materialization against a frozen snapshot.
-
-    Runs the id-space bounded engine and attaches a
-    :class:`CompactExtension` whose :attr:`~CompactExtension.distances`
-    carries the distance index ``I(V)`` in id space -- built during
-    materialization, never re-derived per query -- so the BMatchJoin
-    fast path can bound-filter without decoding a single pair.  The
-    node-key index stored on the :class:`MaterializedView` is decoded
-    from the same id-space table, so the two views of ``I(V)`` cannot
-    drift.
-    """
-    from repro.simulation.compact_bounded import compact_bounded_match_with_ids
-
-    pattern = definition.pattern
-    result, id_matches, id_distances = compact_bounded_match_with_ids(
-        pattern, graph, with_distances=True
-    )
-    if id_matches is None:
-        empty_ids: IdEdgeMatches = {edge: {} for edge in pattern.edges()}
-        return MaterializedView(
-            definition,
-            {edge: set() for edge in pattern.edges()},
-            distances={},
-            compact=CompactExtension(graph, empty_ids, distances={}),
-        )
-    compact = CompactExtension(graph, id_matches, distances=id_distances)
-    return MaterializedView(
-        definition,
-        result.edge_matches,
-        distances=decode_distance_index(id_distances, graph.node_table),
-        compact=compact,
-    )
 
 
 def bind_extension(extension: MaterializedView, snapshot) -> MaterializedView:
@@ -410,12 +339,9 @@ def bind_extension(extension: MaterializedView, snapshot) -> MaterializedView:
         for v, w in pairs:
             grouped.setdefault(id_of(v), set()).add(id_of(w))
         id_matches[edge] = grouped
-    return _flatten_if_shared(
-        MaterializedView(
-            extension.definition,
-            extension.edge_matches,
-            distances=extension.distances,
-            compact=CompactExtension(snapshot, id_matches),
-        ),
-        snapshot,
+    return MaterializedView(
+        extension.definition,
+        extension.edge_matches,
+        distances=extension.distances,
+        compact=FlatExtension.pack(snapshot, id_matches),
     )

@@ -9,8 +9,8 @@ Covers the whole vertical slice:
   backend and the ``ShardedGraph`` backend over randomized graphs and
   bounded patterns (``*`` bounds and self-loops included);
 * bounded view materialization against snapshots: id-space
-  ``CompactExtension`` payloads with the distance index ``I(V)``,
-  pickling through process executors;
+  ``FlatExtension`` payloads whose pair rows carry the distance index
+  ``I(V)``, pickling through process executors;
 * the BMatchJoin id-space fast path engaging on shared-snapshot
   extensions and falling back (with identical results) otherwise;
 * the stale-bounded-view maintenance contract: ``ViewSet.apply_delta``
@@ -34,7 +34,7 @@ from helpers import (
 )
 from repro.core.bounded.bcontainment import bounded_contains
 from repro.core.bounded.bmatchjoin import (
-    _compact_bounded_match_join,
+    _id_bounded_match_join,
     bounded_match_join,
 )
 from repro.core.bounded.bminimal import bounded_minimal_views
@@ -164,8 +164,8 @@ class TestBoundedMatchEquivalence:
             # Snapshot materialization carries the id-space payload.
             assert on_compact.compact is not None
             assert on_sharded.compact is not None
-            if any(on_dict.edge_matches.values()):
-                assert on_compact.compact.distances is not None
+            assert on_compact.compact.bounded
+            assert on_sharded.compact.bounded
 
     def test_compact_payload_matches_node_key_form(self):
         g = build_graph(
@@ -238,14 +238,14 @@ class TestBMatchJoinFastPath:
         query = query_from_views(dict_views, 4, 6, seed=7)
         containment = bounded_minimal_views(query, dict_views)
         assert (
-            _compact_bounded_match_join(
+            _id_bounded_match_join(
                 query, containment, compact_views.extensions()
             )
             is not None
         )
         # Dict-backend extensions carry no payload: fast path declines.
         assert (
-            _compact_bounded_match_join(
+            _id_bounded_match_join(
                 query, containment, dict_views.extensions()
             )
             is None
@@ -269,7 +269,7 @@ class TestBMatchJoinFastPath:
         }
         if len(tokens) > 1:
             assert (
-                _compact_bounded_match_join(query, containment, extensions)
+                _id_bounded_match_join(query, containment, extensions)
                 is None
             )
         result = bounded_match_join(query, containment, compact_views)
@@ -295,7 +295,7 @@ class TestBMatchJoinFastPath:
             assert result.edge_matches[("a", "b")] == {(1, 2)}
         # On the snapshot that evaluation took the id-space path.
         assert (
-            _compact_bounded_match_join(query, containment, views.extensions())
+            _id_bounded_match_join(query, containment, views.extensions())
             is not None
         )
 
@@ -321,7 +321,7 @@ class TestBMatchJoinFastPath:
         query = query_from_views(views, 4, 6, seed=11)
         containment = bounded_contains(query, views)
         assert (
-            _compact_bounded_match_join(query, containment, views.extensions())
+            _id_bounded_match_join(query, containment, views.extensions())
             is not None
         )
         result = bounded_match_join(query, containment, views)
@@ -337,7 +337,15 @@ class TestBMatchJoinFastPath:
             assert twin.distances == extension.distances
             assert twin.compact is not None
             assert twin.compact.token == extension.compact.token
-            assert twin.compact.distances == extension.compact.distances
+            assert twin.compact.bounded == extension.compact.bounded
+            for edge in extension.compact.edge_order:
+                assert list(twin.compact.pair_rows(edge)[0]) == list(
+                    extension.compact.pair_rows(edge)[0]
+                )
+                if extension.compact.bounded:
+                    assert list(twin.compact.dist_row(edge)) == list(
+                        extension.compact.dist_row(edge)
+                    )
 
 
 # ----------------------------------------------------------------------

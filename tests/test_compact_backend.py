@@ -27,19 +27,20 @@ from helpers import (
     random_pattern,
 )
 from repro.core.containment import contains
-from repro.core.matchjoin import (
-    _compact_match_join,
-    _flat_match_join,
-    match_join,
-)
+from repro.core.bounded.bcontainment import bounded_contains
+from repro.core.bounded.bmatchjoin import _needs_distance_filter, bounded_match_join
+from repro.core.matchjoin import _id_match_join, match_join
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import CompactGraph, DataGraph, P
-from repro.graph.flatbuf import SharedCompactGraph
+from repro.graph.flatbuf import _HAVE_SHM, BACKEND_ENV, FILE_DIR_ENV, SharedCompactGraph
+from repro.graph.pattern import BoundedPattern
+from repro.obs.metrics import get_registry
+from repro.shard.sharded import ShardedGraph
 from repro.simulation import bounded_match, dual_match, match, strong_match
 from repro.views.maintenance import IncrementalViewSet
 from repro.views.storage import ViewSet
-from repro.views.view import ViewDefinition
+from repro.views.view import MaterializedView, ViewDefinition, bind_extension
 
 
 # ----------------------------------------------------------------------
@@ -303,12 +304,12 @@ class TestMatchJoinEquivalence:
         query = query_from_views(dict_views, 4, 6, seed=7)
         containment = contains(query, dict_views)
         assert (
-            _compact_match_join(query, containment, compact_views.extensions())
+            _id_match_join(query, containment, compact_views.extensions())
             is not None
         )
         # Dict-backend extensions carry no payload: fast path declines.
         assert (
-            _compact_match_join(query, containment, dict_views.extensions())
+            _id_match_join(query, containment, dict_views.extensions())
             is None
         )
 
@@ -337,7 +338,7 @@ class TestMatchJoinEquivalence:
             if extensions[name].compact is not None
         }
         if len(tokens) > 1:
-            assert _compact_match_join(query, containment, extensions) is None
+            assert _id_match_join(query, containment, extensions) is None
         # Either way the public entry point stays correct.
         result = match_join(query, containment, views)
         assert result.edge_matches == match(query, graph).edge_matches
@@ -452,40 +453,121 @@ class TestEngineSnapshot:
 # ----------------------------------------------------------------------
 # The equivalence suite over the flat shared-memory backend
 # ----------------------------------------------------------------------
-def _freeze(graph, backend):
-    """``backend``: "compact" (plain snapshot) or "flat" (shared)."""
-    if backend == "flat":
+def _tightened(query):
+    """``query`` with every finite bound above 1 lowered by one."""
+    tight = BoundedPattern()
+    for u in query.nodes():
+        tight.add_node(u, query.condition(u))
+    for u, w in query.edges():
+        bound = query.bound((u, w))
+        tight.add_edge(u, w, bound - 1 if isinstance(bound, int) and bound > 1 else bound)
+    return tight
+
+
+def _needs_filter(query, containment, views):
+    """Whether some λ reference of ``query`` needs the distance filter."""
+    return any(
+        _needs_distance_filter(views.extension(name), view_edge, query.bound(edge))
+        for edge in query.edges()
+        for name, view_edge in containment.mapping.get(edge, ())
+    )
+
+
+#: Every id-space payload source the fast path must serve: a plain
+#: snapshot, a shared snapshot on each segment backend ("flat" is shm),
+#: a sharded graph, and extensions re-stamped by maintenance onto a
+#: refreshed snapshot (half ``rebound``, half ``bind_extension``).
+FROZEN_BACKENDS = pytest.mark.parametrize(
+    "backend",
+    ["compact", "flat", "flat-bytes", "flat-file", "sharded", "rebound"],
+)
+
+
+def _freeze(graph, backend, monkeypatch, tmp_path):
+    """Freeze ``graph`` for ``backend``; returns ``(snapshot, restamp)``
+    where ``restamp(views)`` re-binds a catalog materialized against
+    the snapshot the way maintenance does (identity except for
+    ``"rebound"``)."""
+    if backend.startswith("flat"):
+        if backend == "flat" and not _HAVE_SHM:
+            pytest.skip("shared memory unavailable on this platform")
+        monkeypatch.setenv(BACKEND_ENV, backend[5:] or "shm")
+        monkeypatch.setenv(FILE_DIR_ENV, str(tmp_path))
         frozen = graph.freeze(shared=True)
         assert isinstance(frozen, SharedCompactGraph)
-        return frozen
-    return graph.freeze()
+        return frozen, lambda views: None
+    if backend == "sharded":
+        return ShardedGraph(graph, num_shards=3), lambda views: None
+    frozen = graph.freeze()
+    if backend == "compact":
+        return frozen, lambda views: None
+
+    # "rebound": edge churn that nets out refreshes the snapshot (ids
+    # kept, fresh token extending the old one) without changing G, so
+    # every extension stays valid and only its provenance moves.
+    nodes = sorted(graph.nodes(), key=repr)
+    absent = next(
+        ((v, w) for v in nodes for w in nodes if not graph.has_edge(v, w)), None
+    )
+    if absent is not None:
+        graph.add_edge(*absent)
+        graph.remove_edge(*absent)
+    else:
+        present = next(iter(graph.edges()))
+        graph.remove_edge(*present)
+        graph.add_edge(*present)
+    refreshed = graph.freeze()
+    assert refreshed.extends_token == frozen.snapshot_token
+
+    def restamp(views):
+        for k, name in enumerate(views.names()):
+            if not views.is_materialized(name):
+                continue
+            extension = views.extension(name)
+            if k % 2 and not extension.definition.is_bounded:
+                rebound = bind_extension(extension, refreshed)
+            else:
+                rebound = MaterializedView(
+                    extension.definition,
+                    extension.edge_matches,
+                    extension.distances,
+                    extension.compact.rebound(refreshed),
+                )
+            views.rebind_extension(rebound)
+        assert views.snapshot_token == refreshed.snapshot_token
+
+    return frozen, restamp
 
 
-FROZEN_BACKENDS = pytest.mark.parametrize("backend", ["compact", "flat"])
+def _id_path_count():
+    return get_registry().counter("repro_matchjoin_total", path="id").value
 
 
 class TestFlatBackendEquivalence:
-    """The backend-equivalence suite re-run with ``freeze(shared=True)``.
+    """The backend-equivalence suite re-run on every id-space backend.
 
-    A :class:`SharedCompactGraph` reuses the plain snapshot's row
-    objects, so in-process evaluation must be bit-identical to the
-    compact backend -- and view suites materialized against it carry
-    :class:`~repro.views.flatpack.FlatExtension` payloads, engaging the
-    flat MatchJoin fixpoint instead of the per-candidate one.
+    Every snapshot form -- plain, shared on each segment backend,
+    sharded, or re-stamped by maintenance -- carries one
+    :class:`~repro.views.flatpack.FlatExtension` payload kind, and
+    MatchJoin / BMatchJoin over it must both equal the dict oracle and
+    actually run the id-space sweep (``repro_matchjoin_total{path="id"}``
+    counts it), so a silent fallback to the dict engine fails here.
     """
 
     @FROZEN_BACKENDS
-    def test_match_and_dual_match_randomized(self, backend):
+    def test_match_and_dual_match_randomized(self, backend, monkeypatch, tmp_path):
         rng = random.Random(51)
         for _ in range(25):
             g = random_labeled_graph(rng, rng.randint(2, 30), rng.randint(1, 70))
             q = random_pattern(rng, rng.randint(2, 5), rng.randint(1, 8))
-            frozen = _freeze(g, backend)
-            assert match(q, g) == match(q, frozen)
-            assert dual_match(q, g) == dual_match(q, frozen)
+            frozen, _ = _freeze(g, backend, monkeypatch, tmp_path)
+            target = g.freeze() if backend == "rebound" else frozen
+            assert match(q, g) == match(q, target)
+            if backend != "sharded":
+                assert dual_match(q, g) == dual_match(q, target)
 
     @FROZEN_BACKENDS
-    def test_bounded_match_randomized(self, backend):
+    def test_bounded_match_randomized(self, backend, monkeypatch, tmp_path):
         rng = random.Random(53)
         for _ in range(15):
             g = random_labeled_graph(rng, rng.randint(3, 25), rng.randint(2, 60))
@@ -494,32 +576,67 @@ class TestFlatBackendEquivalence:
                 {u: base.condition(u) for u in base.nodes()},
                 [(u, w, rng.randint(1, 3)) for u, w in base.edges()],
             )
-            assert bounded_match(q, g) == bounded_match(q, _freeze(g, backend))
+            frozen, _ = _freeze(g, backend, monkeypatch, tmp_path)
+            target = g.freeze() if backend == "rebound" else frozen
+            assert bounded_match(q, g) == bounded_match(q, target)
 
     @FROZEN_BACKENDS
-    def test_matchjoin_equivalence_and_theorem1(self, backend):
+    def test_matchjoin_equivalence_and_theorem1(self, backend, monkeypatch, tmp_path):
         labels = tuple(f"l{i}" for i in range(6))
         for seed in range(6):
             graph = random_graph(180, 450, labels=labels, seed=seed)
             definitions = list(generate_views(labels, 9, seed=seed))
             dict_views = ViewSet(definitions)
             dict_views.materialize(graph)
-            frozen = _freeze(graph, backend)
+            frozen, restamp = _freeze(graph, backend, monkeypatch, tmp_path)
             backed_views = ViewSet(definitions)
             backed_views.materialize(frozen)
+            restamp(backed_views)
             for qseed in range(2):
                 query = query_from_views(
                     dict_views, 4, 6, seed=100 * seed + qseed
                 )
                 containment = contains(query, dict_views)
                 via_dict = match_join(query, containment, dict_views)
+                before = _id_path_count()
                 via_backed = match_join(query, containment, backed_views)
+                assert _id_path_count() == before + 1
                 assert via_dict == via_backed
-                # Theorem 1 on the flat backend too.
-                assert (
-                    via_backed.edge_matches
-                    == match(query, frozen).edge_matches
-                )
+                # Theorem 1 on every backend too.
+                assert via_backed.edge_matches == match(query, graph).edge_matches
+
+    @FROZEN_BACKENDS
+    def test_bmatchjoin_equivalence_and_theorem9(self, backend, monkeypatch, tmp_path):
+        labels = tuple(f"l{i}" for i in range(6))
+        filtered = 0
+        for seed in range(4):
+            graph = random_graph(150, 400, labels=labels, seed=seed)
+            definitions = list(
+                generate_views(labels, 8, seed=seed, bounded=True, max_bound=3)
+            )
+            dict_views = ViewSet(definitions)
+            dict_views.materialize(graph)
+            frozen, restamp = _freeze(graph, backend, monkeypatch, tmp_path)
+            backed_views = ViewSet(definitions)
+            backed_views.materialize(frozen)
+            restamp(backed_views)
+            for qseed in range(3):
+                query = query_from_views(dict_views, 4, 6, seed=100 * seed + qseed)
+                if qseed == 2:
+                    # Tighten every bound below its view bound so the
+                    # distance-filter branch runs.
+                    query = _tightened(query)
+                containment = bounded_contains(query, dict_views)
+                assert containment.holds
+                filtered += _needs_filter(query, containment, dict_views)
+                via_dict = bounded_match_join(query, containment, dict_views)
+                before = _id_path_count()
+                via_backed = bounded_match_join(query, containment, backed_views)
+                assert _id_path_count() == before + 1
+                assert via_dict == via_backed
+                # Theorem 9: BMatchJoin equals direct BMatch.
+                assert via_dict.edge_matches == bounded_match(query, graph).edge_matches
+        assert filtered
 
     def test_flat_fast_path_engages_on_flat_extensions(self):
         labels = tuple(f"l{i}" for i in range(6))
@@ -530,17 +647,14 @@ class TestFlatBackendEquivalence:
         flat_views.materialize(shared)
         query = query_from_views(flat_views, 4, 6, seed=31)
         containment = contains(query, flat_views)
-        fast = _flat_match_join(query, containment, flat_views.extensions())
+        fast = _id_match_join(query, containment, flat_views.extensions())
         assert fast is not None
         assert fast == match_join(query, containment, flat_views)
-        # Plain compact extensions decline the flat path (no row tables)
-        # but keep the per-candidate fast path.
+        # A plain snapshot's extensions carry the same payload kind and
+        # take the same path.
         compact_views = ViewSet(definitions)
         compact_views.materialize(graph.copy().freeze())
-        assert (
-            _flat_match_join(query, containment, compact_views.extensions())
-            is None
-        )
+        assert _id_match_join(query, containment, compact_views.extensions()) == fast
 
     def test_flat_extensions_survive_refresh_chain(self):
         labels = tuple(f"l{i}" for i in range(5))

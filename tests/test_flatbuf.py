@@ -8,10 +8,12 @@ view-payload counterpart :mod:`repro.views.flatpack`:
   leaked ``/dev/shm`` entries after process-pool round trips;
 * the plain-``bytes`` fallback behind ``REPRO_FLAT_BACKEND=bytes``;
 * attach-not-unpickle shipping: a :class:`SharedCompactGraph` or a
-  :class:`FlatExtension` pickles to a segment handle and reconstructs
-  with identical read results, in-process and across a process pool;
-* engine/server integration: ``shared_snapshots`` freezing, ship
-  telemetry in ``ExecutionStats`` and ``QueryEngine.ship_stats()``.
+  :class:`FlatExtension` bound to it pickles to a segment handle and
+  reconstructs with identical read results, in-process and across a
+  process pool;
+* engine/server integration: process engines freeze shared snapshots
+  (in-process engines create no segment at all), ship telemetry in
+  ``ExecutionStats`` and ``QueryEngine.ship_stats()``.
 """
 
 import gc
@@ -40,12 +42,18 @@ from repro.graph.flatbuf import (
     verify_segment_file,
 )
 from repro.simulation import match
-from repro.views.flatpack import FlatExtension, FlatMaterializedView
+from repro.views.flatpack import FlatExtension
 from repro.views.storage import ViewSet
 
 
 def _shm_entries():
     return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
+
+
+def _in_shared_segment(view):
+    """Whether a view's payload lives in a named segment (its pickle is
+    a handle) rather than in process memory."""
+    return view.compact is not None and view.compact.store.backend != "bytes"
 
 
 def _sample_graph(seed=7, nodes=40, edges=120):
@@ -171,9 +179,9 @@ class TestAttach:
             if not views.is_materialized(name):
                 continue
             view = views.extension(name)
-            assert isinstance(view, FlatMaterializedView)
             payload = view.compact
             assert isinstance(payload, FlatExtension)
+            assert _in_shared_segment(view)
             decode = payload.nodes.__getitem__
             for edge in payload.edge_order:
                 src_row, tgt_row = payload.pair_rows(edge)
@@ -279,6 +287,12 @@ class TestEngineIntegration:
         )
         assert isinstance(engine.snapshot(), SharedCompactGraph)
         results = engine.answer_batch(queries)
+        # Every extension packed into a shared segment, so workers
+        # attach it instead of unpickling rows.
+        catalog = engine.views
+        materialized = [n for n in catalog.names() if catalog.is_materialized(n)]
+        assert materialized
+        assert all(_in_shared_segment(catalog.extension(n)) for n in materialized)
         serial = QueryEngine(
             ViewSet(list(views)), graph=graph
         ).answer_batch(queries)
@@ -320,7 +334,7 @@ class TestEngineIntegration:
             name
             for name in catalog.names()
             if catalog.is_materialized(name)
-            and isinstance(catalog.extension(name), FlatMaterializedView)
+            and _in_shared_segment(catalog.extension(name))
         ]
         assert flat_names
         nodes = list(tracker.graph.nodes())
@@ -344,25 +358,25 @@ class TestEngineIntegration:
                 continue
             view = catalog.extension(name)
             if view.compact.token == snapshot.snapshot_token:
-                assert isinstance(view, FlatMaterializedView)
+                assert _in_shared_segment(view)
                 restamped += 1
         assert restamped
 
-    def test_shared_snapshots_opt_out(self, workload):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_in_process_engines_create_no_segment(self, workload, executor):
         graph, views, queries = workload
-        engine = QueryEngine(
-            views,
-            graph=graph,
-            executor="process",
-            workers=2,
-            shared_snapshots=False,
-        )
-        assert not isinstance(engine.snapshot(), SharedCompactGraph)
+        before = set(live_segment_names())
+        engine = QueryEngine(views, graph=graph, executor=executor, workers=2)
         results = engine.answer_batch(queries)
-        serial = QueryEngine(
+        assert not isinstance(engine.snapshot(), SharedCompactGraph)
+        catalog = engine.views
+        for name in catalog.names():
+            if catalog.is_materialized(name):
+                assert catalog.extension(name).compact.store.backend == "bytes"
+        assert set(live_segment_names()) == before
+        assert results == QueryEngine(
             ViewSet(list(views)), graph=graph
         ).answer_batch(queries)
-        assert results == serial
 
 
 # ----------------------------------------------------------------------

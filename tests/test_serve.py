@@ -405,3 +405,76 @@ class TestTcpProtocol:
                 await tcp.wait_closed()
 
         asyncio.run(run())
+
+
+class TestOversizedRequests:
+    """Request lines past asyncio's 64 KiB default must not drop the
+    connection unanswered: big-but-legal lines are served, over-limit
+    lines get a typed envelope, and the server keeps serving others."""
+
+    @staticmethod
+    async def _open(port):
+        return await asyncio.open_connection("127.0.0.1", port, limit=2**22)
+
+    def test_five_thousand_op_update_succeeds(self):
+        async def run():
+            server, _ = make_server()
+            async with server:
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await self._open(port)
+                nodes = [1, 2, 3, 4, 5, 6]
+                ops = [
+                    ["insert" if k % 2 == 0 else "delete",
+                     nodes[(k // 2) % 6], nodes[(k // 12) % 6]]
+                    for k in range(5000)
+                ]
+                line = json.dumps({"op": "update", "ops": ops}).encode() + b"\n"
+                assert len(line) > 64 * 1024
+                writer.write(line)
+                await writer.drain()
+                answer = json.loads(await reader.readline())
+                assert answer["ok"] is True
+                assert answer["applied"] + answer["skipped"] > 0
+                writer.close()
+                tcp.close()
+                await tcp.wait_closed()
+
+        asyncio.run(run())
+
+    def test_over_limit_line_gets_typed_error_and_others_are_served(
+        self, monkeypatch
+    ):
+        from repro.serve import protocol
+
+        monkeypatch.setattr(protocol, "MAX_REQUEST_BYTES", 4096)
+
+        async def run():
+            server, _ = make_server()
+            async with server:
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await self._open(port)
+                payload = {"op": "ping", "pad": "x" * 6000}
+                writer.write(json.dumps(payload).encode() + b"\n")
+                await writer.drain()
+                answer = json.loads(await reader.readline())
+                assert answer == {
+                    "ok": False,
+                    "error": "request too large",
+                    "retriable": False,
+                }
+                # The server closed this connection after answering.
+                assert await reader.readline() == b""
+                writer.close()
+
+                other_reader, other_writer = await self._open(port)
+                other_writer.write(b'{"op": "ping"}\n')
+                await other_writer.drain()
+                pong = json.loads(await other_reader.readline())
+                assert pong["ok"] is True and pong["pong"] is True
+                other_writer.close()
+                tcp.close()
+                await tcp.wait_closed()
+
+        asyncio.run(run())

@@ -27,7 +27,7 @@ from helpers import (
     random_pattern,
 )
 from repro.core.containment import contains
-from repro.core.matchjoin import _compact_match_join, match_join
+from repro.core.matchjoin import _id_match_join, match_join
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import DataGraph, P
@@ -334,7 +334,7 @@ class TestShardedMaterialize:
             containment = contains(query, views)
             assert containment.holds
             assert (
-                _compact_match_join(query, containment, views.extensions())
+                _id_match_join(query, containment, views.extensions())
                 is not None
             )
             result = match_join(query, containment, views)

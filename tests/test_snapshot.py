@@ -174,6 +174,33 @@ class TestViewsRoundTrip:
         got = rebooted.answer(query)
         assert got.edge_matches == expected.edge_matches
 
+    def test_bounded_view_packs_keep_distances(self, tmp_path):
+        from repro.core.bounded.bcontainment import bounded_contains
+        from repro.core.bounded.bmatchjoin import bounded_match_join
+        from repro.simulation import bounded_match
+
+        graph = random_graph(80, 200, labels=LABELS, seed=29)
+        views = ViewSet(
+            generate_views(LABELS, 5, seed=29, bounded=True, max_bound=3)
+        )
+        frozen = graph.freeze()
+        views.materialize(frozen)
+        SnapshotStore.save(tmp_path / "snap", frozen, views=views)
+        loaded = SnapshotStore.load(tmp_path / "snap", verify=True)
+        assert {e["kind"] for e in loaded.manifest["views"].values()} == {"flat"}
+        for name, view in loaded.views.items():
+            assert view.compact.bounded
+            assert view.edge_matches == views.extension(name).edge_matches
+            assert view.distances == views.extension(name).distances
+        reloaded = loaded.viewset()
+        query = query_from_views(views, 4, 6, seed=29)
+        containment = bounded_contains(query, reloaded)
+        assert containment.holds
+        assert (
+            bounded_match_join(query, containment, reloaded).edge_matches
+            == bounded_match(query, graph).edge_matches
+        )
+
 
 # ----------------------------------------------------------------------
 # Sharded round trips
