@@ -1,9 +1,9 @@
-"""Flat-buffer (shared-memory) snapshots vs. plain snapshots and the
-dict oracle.
+"""Flat-buffer snapshots: shared-memory vs. in-process segments, and
+the dict oracle.
 
 Not a paper figure -- this benchmarks snapshots and view extensions
-living in flat shared-memory buffers (CSR id rows + node tables in one
-segment per object) and the id-space MatchJoin sweep over those rows:
+living in flat buffers (CSR id rows + node tables in one segment per
+object) and the id-space MatchJoin sweep over those rows:
 
 * **MatchJoin** -- the same synthetic workload as
   ``bench_compact_backend`` (Fig. 8(d) graph family, 22-view suite,
@@ -14,20 +14,24 @@ segment per object) and the id-space MatchJoin sweep over those rows:
   fixpoint);
 * **snapshot shipping** -- ``pickle.dumps`` + ``loads`` of the full
   serving payload (frozen snapshot + every materialized view), which is
-  what a process-pool executor pays per worker per epoch.  Shared
-  objects pickle to segment handles, so the payload ships in
-  near-constant bytes regardless of graph size; a plain snapshot's
-  payload carries its columns and rows.
+  what a process-pool executor pays per worker per epoch.  The shared
+  payload (``freeze(shared=True)``) pickles to segment handles, so it
+  ships in near-constant bytes regardless of graph size; the
+  in-process payload (``freeze()``, ``bytes`` segments) carries its
+  segments' bytes.
 
 ``test_flat_gates`` asserts the headline claims at full scale
 (``REPRO_BENCH_SCALE >= 1``, the largest ``bench_compact_backend``
 graph): the id-space path answers the MatchJoin batch at least
-**1.5x** faster than the dict oracle, and the shared payload ships at
-least **5x** faster than the plain snapshot's.  At reduced scales (CI
-smoke runs) the speedup gates relax to "no slower", but **equivalence
-against the dict oracle is asserted at every scale** -- the fast path
-can never silently drift.  Freezing/materialization happens outside
-every timed region, exactly how ``QueryEngine`` uses the snapshot.
+**1.5x** faster than the dict oracle, the shared payload pickles to at
+most **1/20** of the in-process payload's bytes, and it ships no slower.
+At reduced scales (CI smoke runs) the MatchJoin gate relaxes to "no
+slower than 1.2x" and the ship gate to bytes alone (at most 1/4: on
+graphs of a few hundred nodes both arms ship within a fraction of a
+millisecond, below timer noise), but **equivalence against the dict
+oracle is asserted at every scale** -- the fast path can never
+silently drift.  Freezing/materialization happens outside every timed
+region, exactly how ``QueryEngine`` uses the snapshot.
 """
 
 import pickle
@@ -38,7 +42,7 @@ import pytest
 from repro.bench import workloads
 from repro.core.minimal import minimal_views
 from repro.core.matchjoin import match_join
-from repro.graph import SharedCompactGraph, live_segment_names
+from repro.graph import live_segment_names
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.views.flatpack import FlatExtension
 from repro.views.storage import ViewSet
@@ -56,7 +60,7 @@ def workload(scale):
     compact_views = ViewSet(list(views))
     compact_views.materialize(frozen)
     shared = graph.freeze(shared=True)
-    assert isinstance(shared, SharedCompactGraph)
+    assert shared.flat_store.backend != "bytes"
     flat_views = ViewSet(list(views))
     flat_views.materialize(shared)
     dict_views = ViewSet(list(views))
@@ -127,7 +131,7 @@ def _min_of(runs, fn, *args):
 
 def test_flat_views_really_flat(workload):
     """Every extension on the shared snapshot lives in a named segment
-    (its pickle is a handle); the plain snapshot's stay in process."""
+    (its pickle is a handle); the in-process snapshot's stay in process."""
     _, _, _, _, _, payload_compact, payload_flat = workload
     for view in payload_flat["views"].values():
         assert isinstance(view.compact, FlatExtension)
@@ -137,8 +141,9 @@ def test_flat_views_really_flat(workload):
 
 
 def test_flat_gates(scale, workload):
-    """Acceptance gates: >=1.5x MatchJoin over the dict oracle and >=5x
-    ship over the plain snapshot at full scale."""
+    """Acceptance gates: >=1.5x MatchJoin over the dict oracle, and the
+    shared payload at <=1/20 of the in-process payload's bytes and no
+    slower to ship, at full scale."""
     (
         compact_views,
         flat_views,
@@ -173,15 +178,20 @@ def test_flat_gates(scale, workload):
     flat_time = _min_of(5, _run_matchjoin, flat_views, queries, containments)
     compact_ship = _min_of(5, _ship, payload_compact)
     flat_ship = _min_of(5, _ship, payload_flat)
+    # Payload size: segment handles, not buffers, go through pickle.
+    compact_bytes = len(pickle.dumps(payload_compact))
+    flat_bytes = len(pickle.dumps(payload_flat))
 
     if scale >= 1.0:
         assert dict_time >= 1.5 * flat_time, (
             f"MatchJoin: dict {dict_time:.4f}s vs id-space {flat_time:.4f}s "
             f"({dict_time / flat_time:.2f}x)"
         )
-        assert compact_ship >= 5 * flat_ship, (
-            f"ship: compact {compact_ship:.4f}s vs flat {flat_ship:.4f}s "
-            f"({compact_ship / flat_ship:.2f}x)"
+        assert flat_bytes * 20 <= compact_bytes, (
+            f"ship bytes: in-process {compact_bytes} vs shared {flat_bytes}"
+        )
+        assert flat_ship <= compact_ship, (
+            f"ship: in-process {compact_ship:.4f}s vs shared {flat_ship:.4f}s"
         )
     else:
         # Reduced-scale smoke: the id-space path must at least never lose.
@@ -189,13 +199,10 @@ def test_flat_gates(scale, workload):
             f"id-space MatchJoin regressed at scale {scale}: "
             f"{flat_time:.4f}s vs dict {dict_time:.4f}s"
         )
-        assert flat_ship <= compact_ship, (
-            f"flat ship regressed at scale {scale}: "
-            f"{flat_ship:.4f}s vs compact {compact_ship:.4f}s"
+        assert flat_bytes * 4 <= compact_bytes, (
+            f"ship bytes at scale {scale}: in-process {compact_bytes} "
+            f"vs shared {flat_bytes}"
         )
-
-    # Payload size: segment handles, not buffers, go through pickle.
-    assert len(pickle.dumps(payload_flat)) < len(pickle.dumps(payload_compact))
 
 
 def test_no_segment_leaks(workload):

@@ -947,18 +947,16 @@ def _cmd_stats(args) -> int:
 
         partition = make_partition(graph, args.shards, args.partitioner)
     if args.format == "json":
-        from repro.graph.flatbuf import SharedCompactGraph
-
         index = graph.label_index_stats()
-        snapshot = graph.freeze()
-        flat = SharedCompactGraph.share(snapshot)
+        snapshot = graph.freeze(shared=True)
+        store = snapshot.flat_store
         memory = {
-            "backend": flat.flat_store.backend,
+            "backend": store.backend,
             "graph": {
-                "backend": flat.flat_store.backend,
-                "tables": flat.flat_table_bytes(),
-                "total_bytes": flat.flat_store.total_bytes,
-                "on_disk_bytes": flat.flat_store.on_disk_bytes,
+                "backend": store.backend,
+                "tables": store.table_bytes(),
+                "total_bytes": store.total_bytes,
+                "on_disk_bytes": store.on_disk_bytes,
             },
         }
         payload = {
@@ -1016,7 +1014,7 @@ def _cmd_stats(args) -> int:
                     continue
                 packed = views.extension(name).compact
                 if packed is None:
-                    packed = _materialize(views.definition(name), flat).compact
+                    packed = _materialize(views.definition(name), snapshot).compact
                 view_memory[name] = {
                     "backend": packed.store.backend,
                     "tables": packed.store.table_bytes(),

@@ -194,13 +194,12 @@ class QueryEngine:
         ``"minimum"`` (greedy set-cover, Theorem 6).
     executor / workers:
         Default batch executor (see :data:`EXECUTORS`) and pool width.
-        With ``executor='process'`` the engine freezes ``G`` into a
-        shared-memory snapshot
-        (:class:`~repro.graph.flatbuf.SharedCompactGraph`), so
-        extensions pack into shared segments and the whole serving
-        payload pickles to segment handles -- pool workers attach
-        instead of deserializing; in-process executors freeze a plain
-        snapshot and create no shared segment.
+        With ``executor='process'`` the engine freezes ``G`` with
+        ``shared=True`` (its segment in shared memory), so extensions
+        pack into shared segments and the whole serving payload
+        pickles to segment handles -- pool workers attach instead of
+        deserializing; in-process executors keep the snapshot in a
+        process-private ``bytes`` segment and create no shared one.
     answer_cache_size / containment_cache_size:
         LRU capacities; ``0`` disables the respective cache.
     shards / partitioner:
@@ -507,20 +506,16 @@ class QueryEngine:
         return records[:limit] if limit is not None else records
 
     def _snapshot_kind_locked(self) -> str:
-        """Which snapshot backend evaluation runs against right now.
-
-        Matched by type name to avoid importing the shard/flat-buffer
-        modules (and their segment machinery) just to label telemetry.
-        """
+        """Which snapshot backend evaluation runs against right now:
+        ``sharded``, ``shared`` (a snapshot whose segment is named, so
+        it ships as a handle) or ``compact`` (process-private bytes)."""
         snapshot = self._snapshot
         if snapshot is None:
             return "dict" if self._graph is not None else "none"
-        kind = type(snapshot).__name__
-        return {
-            "ShardedGraph": "sharded",
-            "SharedCompactGraph": "shared",
-            "CompactGraph": "compact",
-        }.get(kind, kind.lower())
+        store = getattr(snapshot, "flat_store", None)
+        if store is None:
+            return "sharded"
+        return "compact" if store.backend == "bytes" else "shared"
 
     def snapshot(self):
         """The engine's frozen view of ``G`` (``None`` without a graph).

@@ -117,7 +117,8 @@ class ShipStats:
 
     ``bytes`` is the serialized payload size, ``seconds`` the wall time
     of the single ``pickle.dumps`` that produced it.  Flat-buffer
-    objects (:class:`~repro.graph.flatbuf.SharedCompactGraph`,
+    objects over a named segment (a ``shared=True``
+    :class:`~repro.graph.compact.CompactGraph`, its
     :class:`~repro.views.flatpack.FlatExtension`) pickle to segment
     handles, so for a shared-memory snapshot both figures stay small
     and near-constant in graph size; dict payloads pay the full deep

@@ -7,8 +7,8 @@ This subpackage provides everything the matching algorithms stand on:
   with an incrementally-maintained label index and a mutation version
   counter.
 * :class:`~repro.graph.compact.CompactGraph` -- the immutable integer-id
-  snapshot produced by :meth:`DataGraph.freeze`, the read-optimized
-  backend under batch serving.
+  CSR snapshot produced by :meth:`DataGraph.freeze`, the read-optimized
+  backend under batch serving; its tables live in one flat segment.
 * :mod:`~repro.graph.conditions` -- node search conditions ``fv`` (plain
   labels or Boolean predicates as in Fig. 7) together with a sound
   implication test used by view-match computation.
@@ -19,8 +19,8 @@ This subpackage provides everything the matching algorithms stand on:
   edge *ranks* driving the bottom-up MatchJoin optimization (Section III).
 * :mod:`~repro.graph.io` -- serialization, including a SNAP edge-list
   reader for users who have the original datasets.
-* :mod:`~repro.graph.flatbuf` -- flat-buffer snapshot storage over
-  pluggable segment backends (``shm`` | ``bytes`` | ``file``), the
+* :mod:`~repro.graph.flatbuf` -- flat-buffer storage (segments and
+  stores) over pluggable segment backends (``shm`` | ``bytes`` | ``file``), the
   ``file`` backend being versioned, checksummed on-disk segments
   attached read-only via ``mmap``.
 * :mod:`~repro.graph.snapshot` -- persistent snapshot directories:
@@ -44,7 +44,6 @@ from repro.graph.digraph import DataGraph
 from repro.graph.flatbuf import (
     FlatStore,
     SegmentFormatError,
-    SharedCompactGraph,
     live_segment_names,
     verify_segment_file,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "P",
     "Pattern",
     "SegmentFormatError",
-    "SharedCompactGraph",
     "SnapshotError",
     "SnapshotStore",
     "TrueCondition",

@@ -384,19 +384,18 @@ class DataGraph:
         until the next mutation bumps :attr:`version`.  When the gap
         since the cached snapshot is pure edge churn (per the edge-op
         journal), the stale snapshot is *refreshed* through
-        :meth:`CompactGraph.refreshed` -- unchanged adjacency rows and
-        label/attribute tables are reused and node ids stay stable --
-        instead of rebuilt, so the integer fast paths survive
+        :meth:`CompactGraph.refreshed` -- its segment is kept, the
+        rebuilt rows ride in a patch overlay and node ids stay stable
+        -- instead of rebuilt, so the integer fast paths survive
         maintenance updates at affected-area cost.
 
-        With ``shared=True`` the snapshot is additionally mirrored into
-        a flat shared-memory segment
-        (:class:`~repro.graph.flatbuf.SharedCompactGraph`), so shipping
-        it to process-pool workers costs a segment handle instead of a
-        full pickle.  Sharedness is sticky across the refresh chain:
-        refreshing a shared snapshot keeps the base segment and carries
-        the delta as a patch overlay.  In-process reads are unaffected
-        (the shared form reuses the same row objects).
+        A snapshot's tables live in one flat segment, in-process
+        ``bytes`` by default.  With ``shared=True`` the segment is
+        re-homed into the default named backend (shared memory) via
+        :meth:`CompactGraph.share`, so shipping the snapshot to
+        process-pool workers costs a segment handle instead of its
+        bytes.  The backend is sticky across the refresh chain: a
+        refresh keeps the segment it patches.
         """
         from repro.graph.compact import CompactGraph
 
@@ -411,19 +410,12 @@ class DataGraph:
             # quarter of the edge set a full rebuild is no slower and
             # produces a snapshot free of journal bookkeeping.
             if ops is not None and len(ops) < max(64, self._num_edges // 4):
-                # Dispatch on the cached snapshot's own class so a
-                # shared snapshot refreshes into a shared one (keeping
-                # its segment) and a plain one stays plain.
-                frozen = type(frozen).refreshed(frozen, self, self._version, ops)
+                frozen = frozen.refreshed(self, self._version, ops)
             else:
                 frozen = CompactGraph(self, self._version)
             self._frozen = frozen
         if shared:
-            from repro.graph.flatbuf import SharedCompactGraph
-
-            if not isinstance(frozen, SharedCompactGraph):
-                frozen = SharedCompactGraph.share(frozen)
-                self._frozen = frozen
+            frozen = self._frozen = frozen.share()
         return frozen
 
     def copy(self) -> "DataGraph":

@@ -1,48 +1,40 @@
-"""Flat-buffer storage core: zero-copy shared-memory snapshots.
+"""Flat-buffer storage core: segments and the stores packed into them.
 
 The paper's complexity bounds (Theorems 1-3 and the MatchJoin algorithm
-of Section V) assume an indexed, array-addressable graph.
-:class:`~repro.graph.compact.CompactGraph` approximates that with
-per-node Python tuples, which evaluate fast in-process but make process
-fan-out expensive: every pool dispatch pays a full pickle of the object
-graph (tuples, dicts, label sets) on the parent and a full unpickle on
-every worker.
+of Section V) assume an indexed, array-addressable graph.  This module
+is the storage under that: a :class:`FlatStore` packs named tables --
+``array('q')`` integer columns (8-aligned, exposed as zero-copy
+memoryviews) and opaque blobs (usually pickles, decoded at most once
+per process) -- into **one byte segment** addressed by a small table
+directory (``{table: (kind, offset, nbytes)}``).  Snapshots
+(:class:`~repro.graph.compact.CompactGraph`) and view extensions
+(:class:`~repro.views.flatpack.FlatExtension`) are both stores.
 
-This module moves the snapshot's columns into *flat buffers*:
-
-* CSR out/in adjacency as ``(indptr, indices)`` pairs of 64-bit ints;
-* per-node label rows and per-label **sorted id buckets** as CSR pairs
-  over an interned label table;
-* node keys / attribute dicts as pickled blobs decoded lazily, once per
-  process;
-
-all packed into **one byte segment** behind a small header
-(``{table: (kind, offset, nbytes)}``).  The segment's *backing* is
-pluggable -- a backend registry selects between:
+The segment's *backing* is pluggable -- a backend registry selects
+between:
 
 * ``shm`` -- :class:`multiprocessing.shared_memory.SharedMemory`, the
-  default wherever the platform provides it (zero-copy process fan-out);
-* ``bytes`` -- a plain in-process ``bytearray`` fallback (pickles ship
-  the payload);
+  default named backend wherever the platform provides it (zero-copy
+  process fan-out);
+* ``bytes`` -- a plain in-process ``bytearray`` (pickles ship the
+  payload);
 * ``file`` -- a **versioned on-disk segment** (fixed
   magic/version/checksum header, payload, then the pickled table
   directory as a trailer) attached read-only via ``mmap``, which is
   what makes snapshots durable: :meth:`FlatStore.save` writes one,
   :meth:`FlatStore.open` maps it back without rebuilding anything.
 
-A :class:`SharedCompactGraph` built over such a
-:class:`FlatStore` pickles as *segment name + header + meta*: workers
-**attach** to the segment instead of unpickling the object graph, and
-materialize only the rows their traversals actually touch
-(:class:`_LazyRows`).  Ship cost becomes O(header), not O(|G|).
+A store over a named segment (``shm`` / ``file``) pickles as *segment
+name + table directory*: workers **attach** to the segment instead of
+unpickling its contents, so ship cost is O(directory), not O(|G|).
+:meth:`FlatStore.rehomed` copies a store into another backend.
 
 Segment lifecycle is deterministic and refcounted in-process:
 
 * the *creator* process owns the segment; a ``weakref.finalize`` on the
-  owning :class:`Segment` unlinks it when the last snapshot referencing
-  it is garbage collected (refresh chains share one segment -- see
-  :meth:`SharedCompactGraph.refreshed` -- so the unlink happens when the
-  last generation drops);
+  owning :class:`Segment` unlinks it when the last object referencing
+  it is garbage collected (a snapshot refresh chain shares one segment,
+  so the unlink happens when the last generation drops);
 * *attachers* (pool workers) close their mapping but never unlink, and
   are unregistered from the ``resource_tracker`` immediately -- without
   that, every worker's tracker would try to unlink the segment at exit
@@ -69,9 +61,7 @@ import threading
 import weakref
 import zlib
 from array import array
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
-
-from repro.graph.compact import CompactGraph, Node
+from typing import Dict, List, Optional, Tuple
 
 log = logging.getLogger(__name__)
 
@@ -595,6 +585,18 @@ class FlatStore:
         segment.seal(header)
         return cls(segment, header)
 
+    def rehomed(self, backend: Optional[str] = None) -> "FlatStore":
+        """A copy of this store in a fresh segment on ``backend``
+        (:func:`resolve_backend` rules); decoded blobs carry over."""
+        segment = Segment.create(self.segment.nbytes, backend)
+        buf = segment.buf
+        buf[:] = self.segment.buf
+        del buf
+        segment.seal(self.header)
+        store = FlatStore(segment, self.header)
+        store._objs.update(self._objs)
+        return store
+
     # -- durable segments ----------------------------------------------
     def save(self, path) -> int:
         """Write this store as a sealed segment file; returns the file
@@ -705,468 +707,3 @@ def _attach_store(kind, value, nbytes, header) -> FlatStore:
         with _lock:
             _stores[key] = weakref.ref(store)
     return store
-
-
-# ----------------------------------------------------------------------
-# CSR packing helpers
-# ----------------------------------------------------------------------
-def _pack_csr(rows) -> Tuple[array, array]:
-    """``rows`` (iterable of int iterables) -> (indptr, indices)."""
-    indptr = array("q", [0])
-    indices = array("q")
-    total = 0
-    for row in rows:
-        indices.extend(row)
-        total += len(row)
-        indptr.append(total)
-    return indptr, indices
-
-
-# ----------------------------------------------------------------------
-# Lazy decoders over a store (worker-side structures)
-# ----------------------------------------------------------------------
-class _LazyRows:
-    """Adjacency rows decoded on first touch.
-
-    Python-list protocol over the CSR pair: ``rows[i]`` materializes
-    ``tuple(indices[indptr[i]:indptr[i+1]])`` exactly once (a C-level
-    slice copy, no pickle machinery) and caches it, so the per-process
-    cost is proportional to the rows a traversal actually visits, and
-    hot loops see plain tuples after first touch.  ``overrides`` (the
-    refresh patch) substitutes rebuilt rows; ids at or past the base
-    snapshot's node count default to empty rows (appended nodes).
-    """
-
-    __slots__ = ("_indptr", "_indices", "_cache", "_overrides", "_base")
-
-    def __init__(
-        self,
-        store: FlatStore,
-        kind: str,
-        total: int,
-        overrides: Optional[Dict[int, tuple]] = None,
-    ) -> None:
-        self._indptr = store.ints(kind + "_indptr")
-        self._indices = store.ints(kind + "_indices")
-        self._base = len(self._indptr) - 1
-        self._cache: List[Optional[tuple]] = [None] * total
-        self._overrides = overrides or {}
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, i: int) -> tuple:
-        row = self._cache[i]
-        if row is None:
-            row = self._overrides.get(i)
-            if row is None:
-                if i < self._base:
-                    row = tuple(self._indices[self._indptr[i] : self._indptr[i + 1]])
-                else:
-                    row = ()
-            self._cache[i] = row
-        return row
-
-    def __iter__(self) -> Iterator[tuple]:
-        for i in range(len(self._cache)):
-            yield self[i]
-
-
-class _LazyNodeTable:
-    """The id -> node key decode table, unpickled on first use."""
-
-    __slots__ = ("_store", "_appended", "_table")
-
-    def __init__(self, store: FlatStore, appended: Optional[List[Node]] = None):
-        self._store = store
-        self._appended = appended
-        self._table: Optional[List[Node]] = None
-
-    def _load(self) -> List[Node]:
-        table = self._table
-        if table is None:
-            table = self._store.obj("nodes")
-            if self._appended:
-                table = list(table) + list(self._appended)
-            self._table = table
-        return table
-
-    def __len__(self) -> int:
-        return len(self._load())
-
-    def __getitem__(self, i):
-        return self._load()[i]
-
-    def __iter__(self):
-        return iter(self._load())
-
-    def __add__(self, other):
-        return list(self._load()) + list(other)
-
-
-class _LazyIds(dict):
-    """node key -> id, built in one pass on first miss.
-
-    A real ``dict`` subclass so every read path (`[]`, ``get``, ``in``)
-    works; population happens at most once per process.
-    """
-
-    __slots__ = ("_nodes", "_ready")
-
-    def __init__(self, nodes) -> None:
-        super().__init__()
-        self._nodes = nodes
-        self._ready = False
-
-    def _ensure(self) -> None:
-        if not self._ready:
-            self.update({node: i for i, node in enumerate(self._nodes)})
-            self._ready = True
-
-    def __missing__(self, key):
-        if self._ready:
-            raise KeyError(key)
-        self._ensure()
-        return dict.__getitem__(self, key)
-
-    def get(self, key, default=None):
-        self._ensure()
-        return dict.get(self, key, default)
-
-    def __contains__(self, key) -> bool:
-        self._ensure()
-        return dict.__contains__(self, key)
-
-    def __len__(self) -> int:
-        self._ensure()
-        return dict.__len__(self)
-
-    def __iter__(self):
-        self._ensure()
-        return dict.__iter__(self)
-
-
-class _LazyLabelTable:
-    """Per-node label frozensets decoded from the interned label CSR."""
-
-    __slots__ = ("_store", "_cache", "_appended_start", "_appended")
-
-    def __init__(
-        self,
-        store: FlatStore,
-        total: int,
-        appended: Optional[List[FrozenSet[str]]] = None,
-    ) -> None:
-        self._store = store
-        self._cache: List[Optional[FrozenSet[str]]] = [None] * total
-        self._appended_start = len(store.ints("label_row_indptr")) - 1
-        self._appended = appended or []
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, i: int) -> FrozenSet[str]:
-        labels = self._cache[i]
-        if labels is None:
-            if i >= self._appended_start:
-                labels = self._appended[i - self._appended_start]
-            else:
-                store = self._store
-                names = store.obj("labels")
-                indptr = store.ints("label_row_indptr")
-                row = store.ints("label_row_indices")[indptr[i] : indptr[i + 1]]
-                labels = frozenset(names[j] for j in row)
-            self._cache[i] = labels
-        return labels
-
-    def __iter__(self):
-        for i in range(len(self._cache)):
-            yield self[i]
-
-
-class _LazyAttrTable:
-    """Per-node attribute dicts, unpickled as one blob on first use."""
-
-    __slots__ = ("_store", "_appended", "_table", "_total")
-
-    def __init__(
-        self, store: FlatStore, total: int, appended: Optional[List[dict]] = None
-    ) -> None:
-        self._store = store
-        self._appended = appended
-        self._table: Optional[List[dict]] = None
-        self._total = total
-
-    def _load(self) -> List[dict]:
-        table = self._table
-        if table is None:
-            blob = self._store.blob("attrs")
-            if len(blob) == 0:
-                table = [{} for _ in range(self._total)]
-            else:
-                table = list(self._store.obj("attrs"))
-                if self._appended:
-                    table.extend(self._appended)
-            self._table = table
-        return table
-
-    def __len__(self) -> int:
-        return self._total
-
-    def __getitem__(self, i: int) -> dict:
-        return self._load()[i]
-
-    def __iter__(self):
-        return iter(self._load())
-
-
-class _LazyBuckets(dict):
-    """label -> sorted id tuple, decoded per label on first lookup.
-
-    The flat form stores every bucket as a **sorted id slice** of one
-    indices array; a lookup materializes just that label's slice.
-    ``extra`` carries the refresh patch: ids of appended nodes per
-    label, concatenated after the base slice (appended ids exceed every
-    base id, so the bucket stays sorted).
-    """
-
-    __slots__ = ("_store", "_extra", "_ready")
-
-    def __init__(self, store: FlatStore, extra: Optional[Dict[str, tuple]] = None):
-        super().__init__()
-        self._store = store
-        self._extra = extra or {}
-        self._ready = False
-
-    def _decode(self, label: str) -> Optional[tuple]:
-        store = self._store
-        slot = store.obj("label_slots").get(label)
-        extra = self._extra.get(label, ())
-        if slot is None:
-            return tuple(extra) if extra else None
-        indptr = store.ints("bucket_indptr")
-        bucket = tuple(store.ints("bucket_indices")[indptr[slot] : indptr[slot + 1]])
-        return bucket + tuple(extra) if extra else bucket
-
-    def _ensure_all(self) -> None:
-        if not self._ready:
-            for label in self._store.obj("label_slots"):
-                self.get(label)
-            for label in self._extra:
-                self.get(label)
-            self._ready = True
-
-    def __missing__(self, key):
-        bucket = self._decode(key)
-        if bucket is None:
-            raise KeyError(key)
-        dict.__setitem__(self, key, bucket)
-        return bucket
-
-    def get(self, key, default=None):
-        if dict.__contains__(self, key):
-            return dict.__getitem__(self, key)
-        bucket = self._decode(key)
-        if bucket is None:
-            return default
-        dict.__setitem__(self, key, bucket)
-        return bucket
-
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
-
-    def items(self):
-        self._ensure_all()
-        return dict.items(self)
-
-    def keys(self):
-        self._ensure_all()
-        return dict.keys(self)
-
-    def values(self):
-        self._ensure_all()
-        return dict.values(self)
-
-    def __iter__(self):
-        self._ensure_all()
-        return dict.__iter__(self)
-
-    def __len__(self) -> int:
-        self._ensure_all()
-        return dict.__len__(self)
-
-
-# ----------------------------------------------------------------------
-# Snapshot encoding
-# ----------------------------------------------------------------------
-def encode_snapshot(graph: CompactGraph, backend: Optional[str] = None) -> FlatStore:
-    """Pack a snapshot's columns into one flat segment."""
-    labels = sorted({label for labels in graph._labels for label in labels})
-    slot_of = {label: i for i, label in enumerate(labels)}
-    succ_indptr, succ_indices = _pack_csr(graph._succ)
-    pred_indptr, pred_indices = _pack_csr(graph._pred)
-    label_row_indptr, label_row_indices = _pack_csr(
-        sorted(slot_of[l] for l in row) for row in graph._labels
-    )
-    bucket_indptr, bucket_indices = _pack_csr(
-        graph._label_ids.get(label, ()) for label in labels
-    )
-    attrs_blob = (
-        b""
-        if not any(graph._attrs)
-        else pickle.dumps(list(graph._attrs), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    return FlatStore.pack(
-        arrays={
-            "succ_indptr": succ_indptr,
-            "succ_indices": succ_indices,
-            "pred_indptr": pred_indptr,
-            "pred_indices": pred_indices,
-            "label_row_indptr": label_row_indptr,
-            "label_row_indices": label_row_indices,
-            "bucket_indptr": bucket_indptr,
-            "bucket_indices": bucket_indices,
-        },
-        blobs={
-            "labels": pickle.dumps(tuple(labels), protocol=pickle.HIGHEST_PROTOCOL),
-            "label_slots": pickle.dumps(slot_of, protocol=pickle.HIGHEST_PROTOCOL),
-            "nodes": pickle.dumps(list(graph._nodes), protocol=pickle.HIGHEST_PROTOCOL),
-            "attrs": attrs_blob,
-        },
-        backend=backend,
-    )
-
-
-# ----------------------------------------------------------------------
-# SharedCompactGraph
-# ----------------------------------------------------------------------
-class SharedCompactGraph(CompactGraph):
-    """A :class:`CompactGraph` whose columns live in a flat segment.
-
-    In the *creator* process the instance shares the source snapshot's
-    materialized lists (same read performance as a plain snapshot) and
-    additionally owns a :class:`FlatStore` mirror of them.  Pickling
-    ships only the store handle, a small meta tuple and -- after
-    refreshes -- the patch overlay, so a process-pool worker *attaches*
-    and decodes lazily rather than unpickling ``O(|G|)`` objects.
-
-    The snapshot token is part of the meta, so extensions shipped
-    alongside the snapshot keep recognising its id space, and the
-    MatchJoin fast paths engage in workers exactly as in the parent.
-    """
-
-    __slots__ = ("_flat", "_patch")
-
-    # -- construction --------------------------------------------------
-    @classmethod
-    def share(cls, graph: CompactGraph) -> "SharedCompactGraph":
-        """The shared form of ``graph`` (idempotent for shared inputs)."""
-        if isinstance(graph, SharedCompactGraph):
-            return graph
-        store = encode_snapshot(graph)
-        shared = cls.__new__(cls)
-        for slot in CompactGraph.__slots__:
-            setattr(shared, slot, getattr(graph, slot))
-        shared._flat = store
-        shared._patch = None
-        return shared
-
-    @property
-    def flat_store(self) -> FlatStore:
-        """The backing store (segment + header)."""
-        return self._flat
-
-    def flat_table_bytes(self) -> Dict[str, int]:
-        """Per-table byte footprint of the flat layout."""
-        return self._flat.table_bytes()
-
-    # -- zero-copy pickling --------------------------------------------
-    def __reduce__(self):
-        meta = (
-            self.num_nodes,
-            self._num_edges,
-            self.snapshot_version,
-            self.snapshot_token,
-            self.extends_token,
-        )
-        return (_attach_snapshot, (self._flat, self._patch, meta))
-
-    # -- refresh: keep the base segment, ship a patch overlay ----------
-    @classmethod
-    def refreshed(
-        cls, old: "SharedCompactGraph", graph, version: int, ops
-    ) -> CompactGraph:
-        """Refresh a shared snapshot without re-encoding the segment.
-
-        The plain refresh runs first (unchanged row objects stay
-        shared, ids stay stable); the delta against the *base segment*
-        -- rebuilt adjacency rows, appended node columns, per-label
-        bucket growth -- is folded into the patch overlay that rides in
-        the pickle.  One segment therefore serves the whole refresh
-        chain, and it is unlinked only when the last generation
-        referencing it is dropped.  When the accumulated patch stops
-        being small relative to the base, the chain re-encodes into a
-        fresh segment instead (the patch would otherwise grow past the
-        ship-cost win the segment exists for).
-        """
-        plain = CompactGraph.refreshed(old, graph, version, ops)
-        base_n = len(old._flat.ints("succ_indptr")) - 1
-        previous = old._patch or _EMPTY_PATCH
-        ids = plain._ids
-        succ_over = dict(previous["succ"])
-        pred_over = dict(previous["pred"])
-        for node in {s for _, s, _ in ops}:
-            i = ids[node]
-            succ_over[i] = plain._succ[i]
-        for node in {t for _, _, t in ops}:
-            i = ids[node]
-            pred_over[i] = plain._pred[i]
-        appended_nodes = list(plain._nodes[base_n:])
-        patch = {
-            "succ": succ_over,
-            "pred": pred_over,
-            "nodes": appended_nodes,
-            "labels": [plain._labels[i] for i in range(base_n, plain.num_nodes)],
-            "attrs": [plain._attrs[i] for i in range(base_n, plain.num_nodes)],
-            "buckets": {
-                label: tuple(i for i in bucket if i >= base_n)
-                for label, bucket in plain._label_ids.items()
-                if bucket and bucket[-1] >= base_n
-            },
-        }
-        patch_rows = len(succ_over) + len(pred_over) + len(appended_nodes)
-        if patch_rows > max(64, base_n // 4):
-            return cls.share(plain)  # re-encode: patch outgrew the base
-        shared = cls.__new__(cls)
-        for slot in CompactGraph.__slots__:
-            setattr(shared, slot, getattr(plain, slot))
-        shared._flat = old._flat
-        shared._patch = patch
-        return shared
-
-
-_EMPTY_PATCH = {"succ": {}, "pred": {}, "nodes": [], "labels": [], "attrs": [], "buckets": {}}
-
-
-def _attach_snapshot(store: FlatStore, patch, meta) -> SharedCompactGraph:
-    """Worker-side reconstruction: attach and decode lazily."""
-    num_nodes, num_edges, version, token, extends = meta
-    patch = patch or _EMPTY_PATCH
-    shared = SharedCompactGraph.__new__(SharedCompactGraph)
-    nodes = _LazyNodeTable(store, patch["nodes"] or None)
-    shared._nodes = nodes
-    shared._ids = _LazyIds(nodes)
-    shared._succ = _LazyRows(store, "succ", num_nodes, patch["succ"])
-    shared._pred = _LazyRows(store, "pred", num_nodes, patch["pred"])
-    shared._labels = _LazyLabelTable(store, num_nodes, patch["labels"] or None)
-    shared._attrs = _LazyAttrTable(store, num_nodes, patch["attrs"] or None)
-    shared._label_ids = _LazyBuckets(store, patch["buckets"] or None)
-    shared._succ_sets = [None] * num_nodes
-    shared._pred_sets = [None] * num_nodes
-    shared._num_edges = num_edges
-    shared.snapshot_version = version
-    shared.snapshot_token = token
-    shared.extends_token = extends
-    shared._flat = store
-    shared._patch = patch if patch is not _EMPTY_PATCH else None
-    return shared

@@ -15,10 +15,10 @@ it with a two-phase, bounded-memory build:
 2. **Build, one shard at a time.**  For each shard, its spill file is
    replayed into a throwaway :class:`~repro.graph.digraph.DataGraph`
    (own nodes first, then edges -- the node-table invariant
-   ``ShardedGraph`` relies on), frozen, flat-encoded in process-private
-   memory, sealed to ``shard-NNN.seg`` on disk, and *released* before
-   the next shard is touched.  Peak RSS is therefore one shard's
-   working set, not the graph's.
+   ``ShardedGraph`` relies on), frozen straight into its CSR segment in
+   process-private memory, sealed to ``shard-NNN.seg`` on disk, and
+   *released* before the next shard is touched.  Peak RSS is therefore
+   one shard's working set, not the graph's.
 
 The resulting directory carries the exact manifest
 :meth:`~repro.graph.snapshot.SnapshotStore.load` expects, so an ingested
@@ -42,7 +42,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.graph.compact import _new_token
 from repro.graph.digraph import DataGraph
-from repro.graph.flatbuf import encode_snapshot
 from repro.graph.snapshot import (
     MANIFEST_NAME,
     SNAPSHOT_FORMAT,
@@ -298,8 +297,7 @@ def _build_shard(
 
     frozen = graph.freeze()
     seg = f"shard-{shard:03d}.seg"
-    store = encode_snapshot(frozen, backend="bytes")
-    store.save(os.path.join(dirpath, seg))
+    frozen.flat_store.save(os.path.join(dirpath, seg))
     entry = {
         "segment": seg,
         "meta": [

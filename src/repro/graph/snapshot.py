@@ -1,14 +1,16 @@
 """Persistent snapshot directories: save/load mmap-backed graph state.
 
-``DataGraph.freeze(shared=True)`` produces a zero-copy, attachable
-snapshot whose columns live in one flat segment -- but the segment dies
-with the process.  :class:`SnapshotStore` gives that snapshot a durable
-sibling: :meth:`SnapshotStore.save` writes a *snapshot directory* of
-sealed segment files (see :mod:`repro.graph.flatbuf` for the on-disk
-format) plus a ``manifest.json``, and :meth:`SnapshotStore.load` maps
-it back read-only via ``mmap`` -- no edge list is re-read, no CSR is
-rebuilt, and the lazy decode structures mean a reload touches only the
-pages a query actually visits.
+A :class:`~repro.graph.compact.CompactGraph` keeps its tables in one
+flat segment -- but an in-process or shared-memory segment dies with
+the process.  :class:`SnapshotStore` gives a snapshot a durable
+sibling: :meth:`SnapshotStore.save` writes the snapshot's existing
+segment (whatever its backend) and refresh patch into a *snapshot
+directory* of sealed segment files (see :mod:`repro.graph.flatbuf` for
+the on-disk format) plus a ``manifest.json``, and
+:meth:`SnapshotStore.load` maps it back read-only via ``mmap`` as a
+``file``-backed snapshot -- no edge list is re-read, no CSR is rebuilt,
+and rows decode on first touch, so a reload touches only the pages a
+query actually visits.
 
 Directory layout::
 
@@ -46,14 +48,9 @@ import tempfile
 import time
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
-from repro.graph.compact import CompactGraph
+from repro.graph.compact import CompactGraph, _attach_snapshot
 from repro.graph.digraph import DataGraph
-from repro.graph.flatbuf import (
-    FlatStore,
-    SharedCompactGraph,
-    _attach_snapshot,
-    verify_segment_file,
-)
+from repro.graph.flatbuf import FlatStore, verify_segment_file
 
 log = logging.getLogger(__name__)
 
@@ -187,10 +184,10 @@ class _LazyCrossEdges:
 class LoadedSnapshot:
     """The product of :meth:`SnapshotStore.load`.
 
-    ``graph`` is a :class:`SharedCompactGraph` or
-    :class:`~repro.shard.sharded.ShardedGraph` whose columns are
-    mmap-backed; ``views`` maps view names to reloaded materialized
-    views.  :meth:`viewset` assembles both into a ready
+    ``graph`` is a :class:`~repro.graph.compact.CompactGraph` or
+    :class:`~repro.shard.sharded.ShardedGraph` whose segments are
+    ``file``-backed (mmap); ``views`` maps view names to reloaded
+    materialized views.  :meth:`viewset` assembles both into a ready
     :class:`~repro.views.storage.ViewSet`.
     """
 
@@ -229,12 +226,12 @@ class SnapshotStore:
     def save(path, snapshot, views=None, overwrite: bool = False) -> dict:
         """Persist ``snapshot`` (and optionally its views) under ``path``.
 
-        ``snapshot`` may be a live :class:`DataGraph` (frozen shared
-        here), a :class:`CompactGraph` (shared here), a
-        :class:`SharedCompactGraph`, or a
-        :class:`~repro.shard.sharded.ShardedGraph` (each shard shared
-        in place).  ``views`` is a ViewSet or ``{name: MaterializedView}``
-        mapping; views whose id-space payload is bound to this exact
+        ``snapshot`` may be a live :class:`DataGraph` (frozen here), a
+        :class:`CompactGraph` on any segment backend, or a
+        :class:`~repro.shard.sharded.ShardedGraph`; each snapshot's
+        existing segment and patch are written as they are.  ``views``
+        is a ViewSet or ``{name: MaterializedView}`` mapping; views
+        whose id-space payload is bound to this exact
         snapshot are saved as attachable segment files, everything else
         falls back to a plain pickle.
 
@@ -331,15 +328,13 @@ def snapshot_on_disk_bytes(path) -> int:
 # Save internals
 # ----------------------------------------------------------------------
 def _as_saveable(snapshot):
-    """Normalize any graph form into a shared (segment-backed) snapshot."""
+    """Normalize any graph form into a segment-backed snapshot."""
     from repro.shard.sharded import ShardedGraph
 
     if isinstance(snapshot, DataGraph):
-        snapshot = snapshot.freeze(shared=True)
-    if isinstance(snapshot, ShardedGraph):
-        return snapshot.share()
-    if isinstance(snapshot, CompactGraph):
-        return SharedCompactGraph.share(snapshot)
+        snapshot = snapshot.freeze()
+    if isinstance(snapshot, (CompactGraph, ShardedGraph)):
+        return snapshot
     raise SnapshotError(
         f"cannot snapshot object of type {type(snapshot).__name__}"
     )
@@ -387,7 +382,7 @@ def _graph_meta(snapshot) -> dict:
     }
 
 
-def _write_compact(dirpath: str, snapshot: SharedCompactGraph) -> dict:
+def _write_compact(dirpath: str, snapshot: CompactGraph) -> dict:
     files = {"segment": "graph.seg"}
     snapshot.flat_store.save(os.path.join(dirpath, "graph.seg"))
     if snapshot._patch:
@@ -502,7 +497,7 @@ def _load_pickle(dirpath: str, fname: str):
         return pickle.load(fh)
 
 
-def _load_compact(dirpath: str, manifest: dict, verify: bool) -> SharedCompactGraph:
+def _load_compact(dirpath: str, manifest: dict, verify: bool) -> CompactGraph:
     files = manifest["files"]
     store = FlatStore.open(os.path.join(dirpath, files["segment"]), verify=verify)
     patch = _load_pickle(dirpath, files["patch"]) if "patch" in files else None
@@ -523,7 +518,7 @@ def _load_sharded(dirpath: str, manifest: dict, verify: bool):
 
     k = manifest["shards"]
     own_counts = list(manifest["own_counts"])
-    shard_graphs: List[SharedCompactGraph] = []
+    shard_graphs: List[CompactGraph] = []
     for entry in manifest["shard_files"]:
         store = FlatStore.open(
             os.path.join(dirpath, entry["segment"]), verify=verify
@@ -614,7 +609,7 @@ def _load_sharded(dirpath: str, manifest: dict, verify: bool):
     for i, snap in enumerate(shard_graphs):
         own = own_counts[i]
         names = all_names[i]
-        for label, bucket in snap._label_ids.items():
+        for label, bucket in snap.label_buckets().items():
             acc = label_nodes.setdefault(label, [])
             acc.extend(names[j] for j in bucket if j < own)
     new._label_nodes = {

@@ -117,7 +117,10 @@ class QueryServer:
         with an engine booted from the same directory
         (``QueryEngine(snapshot_path=...)``) for serve-restart-serve
         durability.  A failed persist is logged and counted
-        (``persist_failures``), never fatal to serving.
+        (``persist_failures``, ``repro_server_persist_failures_total``),
+        never fatal to serving; ``stats()["epoch"]["persisted"]`` is the
+        id of the last epoch written successfully (``-1`` before any),
+        so durability lag shows as the gap to ``current``.
     """
 
     def __init__(
@@ -154,6 +157,7 @@ class QueryServer:
         self._max_queue = max_queue
         self._advise_interval = advise_interval
         self._persist_path = persist_path
+        self._persisted_epoch = -1
         self._advise_task: Optional[asyncio.Task] = None
         self._registry = SnapshotRegistry()
         self._answers = LRUCache(answer_cache_size)
@@ -560,10 +564,12 @@ class QueryServer:
         thread only; persistence rides the same thread so epoch N's
         snapshot directory never interleaves with epoch N+1's)."""
         checkpoint = self._engine.checkpoint()
-        self._persist(checkpoint)
+        # Serialized under the update lock, so this checkpoint becomes
+        # the epoch after the current one.
+        self._persist(checkpoint, self._registry.current_id + 1)
         return checkpoint
 
-    def _persist(self, checkpoint) -> None:
+    def _persist(self, checkpoint, epoch_id: int) -> None:
         if self._persist_path is None:
             return
         from repro.graph.snapshot import SnapshotStore
@@ -580,10 +586,14 @@ class QueryServer:
             # take serving down, and the previous snapshot (rename
             # swap) is still intact for the next boot.
             self._count("persist_failures")
+            self._engine.registry.counter(
+                "repro_server_persist_failures_total"
+            ).inc()
             log.exception(
                 "failed to persist epoch snapshot to %r", self._persist_path
             )
         else:
+            self._persisted_epoch = epoch_id
             self._count("snapshots_persisted")
             self._engine.registry.counter(
                 "repro_server_snapshots_persisted_total"
@@ -661,6 +671,7 @@ class QueryServer:
             "epoch": dict(
                 self._registry.drain_stats(),
                 current=self._registry.current_id,
+                persisted=self._persisted_epoch,
                 active_readers=current.readers if current is not None else 0,
             ),
             "requests": dict(

@@ -50,13 +50,6 @@ Node = Hashable
 Edge = Tuple[Node, Node]
 
 
-def _is_shared(snapshot) -> bool:
-    """Whether a shard snapshot is a shared-memory flat snapshot."""
-    from repro.graph.flatbuf import SharedCompactGraph
-
-    return isinstance(snapshot, SharedCompactGraph)
-
-
 class ShardedGraph:
     """An immutable, partition-aligned snapshot of a :class:`DataGraph`.
 
@@ -296,12 +289,11 @@ class ShardedGraph:
                 local.add_node(
                     ghost, labels=graph.labels(ghost), attrs=graph.attrs(ghost)
                 )
-            rebuilt = local.freeze()
-            if _is_shared(self._shards[index]):
-                from repro.graph.flatbuf import SharedCompactGraph
-
-                rebuilt = SharedCompactGraph.share(rebuilt)
-            shard_snapshots[index] = rebuilt
+            # A shard whose segment is named stays named (ships as a
+            # handle).
+            shard_snapshots[index] = local.freeze(
+                shared=self._shards[index].flat_store.backend != "bytes"
+            )
         new._shards = tuple(shard_snapshots)
         new._own_counts = tuple(len(partition.nodes_of(i)) for i in range(k))
 
@@ -381,26 +373,20 @@ class ShardedGraph:
         return new
 
     def share(self) -> "ShardedGraph":
-        """Freeze every shard into a shared-memory flat snapshot.
+        """Re-home every shard's segment into shared memory.
 
         In place and idempotent.  Each per-shard
-        :class:`~repro.graph.compact.CompactGraph` is upgraded to a
-        :class:`~repro.graph.flatbuf.SharedCompactGraph` (same token,
-        same version, identical in-process behavior), so pickling the
-        sharded graph ships per-shard segment handles instead of
-        adjacency copies -- workers in a shard pool attach.  The
-        composite bookkeeping (boundary tables, translation rows) still
-        pickles by value; shard adjacency is the bulk.  Sharedness
-        survives :meth:`refreshed` (rebuilt shards are re-shared).
+        :class:`~repro.graph.compact.CompactGraph` is replaced by its
+        :meth:`~repro.graph.compact.CompactGraph.share` twin (same
+        token, same version, identical in-process behavior), so
+        pickling the sharded graph ships per-shard segment handles
+        instead of adjacency bytes -- workers in a shard pool attach.
+        The composite bookkeeping (boundary tables, translation rows)
+        still pickles by value; shard adjacency is the bulk.  The
+        backend survives :meth:`refreshed` (rebuilt shards are
+        re-shared).
         """
-        from repro.graph.flatbuf import SharedCompactGraph
-
-        self._shards = tuple(
-            shard
-            if isinstance(shard, SharedCompactGraph)
-            else SharedCompactGraph.share(shard)
-            for shard in self._shards
-        )
+        self._shards = tuple(shard.share() for shard in self._shards)
         return self
 
     # ------------------------------------------------------------------

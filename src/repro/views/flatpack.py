@@ -1,8 +1,7 @@
 """Id-space view extensions: one pair-row payload per snapshot-bound ``V(G)``.
 
-Materializing a view against a frozen snapshot -- a plain
-:class:`~repro.graph.compact.CompactGraph`, a
-:class:`~repro.graph.flatbuf.SharedCompactGraph` or a
+Materializing a view against a frozen snapshot -- a
+:class:`~repro.graph.compact.CompactGraph` on any segment backend or a
 :class:`~repro.shard.sharded.ShardedGraph` -- attaches a
 :class:`FlatExtension` to the materialized view: the same match sets
 in the snapshot's integer-id space, stored as
@@ -17,15 +16,17 @@ in the snapshot's integer-id space, stored as
   (:func:`repro.core.matchjoin.id_fixpoint`) combines with batch
   set-ops.
 
-Where the store lives follows the snapshot: against a shared snapshot
-it is a named segment (``REPRO_FLAT_BACKEND``, shared memory by
-default), so pickling ships a segment handle and a process-pool worker
-attaches instead of deserializing; against any other snapshot it is an
+Where the store lives follows the snapshot: against a snapshot whose
+segment is named (``shm`` / ``file``) it is a named segment
+(``REPRO_FLAT_BACKEND``, shared memory by default), so pickling ships a
+segment handle and a process-pool worker attaches instead of
+deserializing; against a ``bytes``-backed or sharded snapshot it is an
 in-process ``bytes`` segment (no ``/dev/shm`` entry), whose pickle
-carries the raw rows.  The id -> node key decode table is referenced,
-not copied: a shared snapshot's own store stands in for it, so when a
-payload carrying the snapshot and twenty extensions goes through one
-``pickle.dumps``, the node table ships exactly once.
+carries the raw rows and the node table by value.  Against a named
+snapshot the id -> node key decode table is referenced, not copied: the
+snapshot's own store stands in for it, so when a payload carrying the
+snapshot and twenty extensions goes through one ``pickle.dumps``, the
+node table ships exactly once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from array import array
 from itertools import repeat
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.graph.flatbuf import FlatStore, SharedCompactGraph, _LazyNodeTable
+from repro.graph.compact import decode_nodes
+from repro.graph.flatbuf import FlatStore
 from repro.simulation.compact_engine import IdEdgeMatches
 
 PEdge = Tuple[Hashable, Hashable]
@@ -192,7 +194,7 @@ class FlatExtension:
     __slots__ = (
         "token",
         "version",
-        "nodes",
+        "_nodes",
         "snap_store",
         "nodes_extra",
         "store",
@@ -229,7 +231,7 @@ class FlatExtension:
         arrays = {"pairs_indptr": indptr, "pairs_src": src, "pairs_tgt": tgt}
         if dist is not None:
             arrays["pairs_dist"] = dist
-        backend = None if isinstance(snapshot, SharedCompactGraph) else "bytes"
+        backend = None if _named_store(snapshot) is not None else "bytes"
         store = FlatStore.pack(arrays=arrays, blobs={}, backend=backend)
         flat = cls._over(store, edge_order, dist is not None)
         flat._bind(snapshot)
@@ -253,16 +255,24 @@ class FlatExtension:
     def _bind(self, snapshot) -> None:
         self.token = snapshot.snapshot_token
         self.version = snapshot.snapshot_version
-        self.nodes = snapshot.node_table
-        if isinstance(snapshot, SharedCompactGraph):
+        self._nodes = snapshot.node_table
+        self.snap_store = _named_store(snapshot)
+        if self.snap_store is not None:
             # Pickles reference the snapshot's segment for the node
             # table instead of copying it.
             patch = snapshot._patch
-            self.snap_store = snapshot.flat_store
             self.nodes_extra = list(patch["nodes"]) if patch else []
         else:
-            self.snap_store = None
             self.nodes_extra = None
+
+    @property
+    def nodes(self):
+        """The id -> node key decode table of the snapshot (decoded from
+        its segment on first use after an attach)."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._nodes = decode_nodes(self.snap_store, self.nodes_extra)
+        return nodes
 
     def _build(self, kind: str, edge: PEdge):
         if kind == "src_keys":
@@ -327,7 +337,7 @@ class FlatExtension:
                 self.bounded,
                 self.token,
                 self.version,
-                None if self.snap_store is not None else self.nodes,
+                None if self.snap_store is not None else self._nodes,
                 self.snap_store,
                 self.nodes_extra,
             ),
@@ -350,12 +360,15 @@ def _attach_extension(
     flat.version = version
     flat.snap_store = snap_store
     flat.nodes_extra = nodes_extra
-    flat.nodes = (
-        _LazyNodeTable(snap_store, nodes_extra or None)
-        if snap_store is not None
-        else nodes
-    )
+    flat._nodes = nodes
     return flat
+
+
+def _named_store(snapshot) -> Optional[FlatStore]:
+    """``snapshot``'s store when its segment is named (pickles as a
+    handle), else ``None`` (``bytes``-backed or sharded snapshots)."""
+    store = getattr(snapshot, "flat_store", None)
+    return store if store is not None and store.backend != "bytes" else None
 
 
 def lazy_edge_matches(payload: FlatExtension) -> Dict[PEdge, Set[NodePair]]:

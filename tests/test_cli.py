@@ -219,3 +219,103 @@ class TestCli:
         write_pattern(q, query_path)
         rc = main(["query", "--query", str(query_path), "--views", str(views_path)])
         assert rc == 1
+
+
+class TestServeLoopback:
+    """``repro serve`` end to end: a real subprocess on an ephemeral
+    port, driven over JSON lines, stopped with SIGINT."""
+
+    TIMEOUT = 60.0
+
+    def test_serve_answers_updates_and_persists(self, tmp_path):
+        import os
+        import queue
+        import signal
+        import socket
+        import subprocess
+        import sys
+        import threading
+
+        import repro
+        from repro.graph.io import pattern_to_json, read_graph
+        from repro.graph.snapshot import SnapshotStore
+        from repro.serve.protocol import _encode_result
+        from repro.simulation import match
+
+        graph_path = tmp_path / "g.json"
+        views_path = tmp_path / "v.json"
+        persist = tmp_path / "persist"
+        assert main([
+            "generate", "--dataset", "amazon", "--nodes", "300",
+            "--edges", "900", "--out", str(graph_path),
+            "--views", str(views_path),
+        ]) == 0
+        graph = read_graph(graph_path)
+        views = read_viewset(views_path)
+        views.materialize(graph)
+        name = max(views.names(), key=lambda n: views.extension(n).num_pairs)
+        query = views.definition(name).pattern
+        nodes = sorted(graph.nodes(), key=repr)
+        source, target = next(
+            (v, w) for v in nodes for w in reversed(nodes)
+            if v != w and not graph.has_edge(v, w)
+        )
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--graph", str(graph_path), "--views", str(views_path),
+                "--port", "0", "--persist", str(persist),
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, env=env,
+        )
+        lines: "queue.Queue[str]" = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(line) for line in proc.stdout],
+            daemon=True,
+        )
+        reader.start()
+        try:
+            while True:
+                line = lines.get(timeout=self.TIMEOUT)
+                if line.startswith("serving "):
+                    break
+            host, port = line.split(" on ", 1)[1].split()[0].rsplit(":", 1)
+            with socket.create_connection(
+                (host, int(port)), timeout=self.TIMEOUT
+            ) as sock, sock.makefile("rw", encoding="utf-8") as stream:
+
+                def call(payload):
+                    stream.write(json.dumps(payload) + "\n")
+                    stream.flush()
+                    return json.loads(stream.readline())
+
+                assert call({"op": "ping"})["pong"] is True
+                answer = call({"op": "query", "pattern": pattern_to_json(query)})
+                expected = json.loads(json.dumps(_encode_result(match(query, graph))))
+                assert answer["ok"] and answer["result"] == expected
+                assert answer["result"]["pairs"] > 0
+                updated = call({"op": "update", "ops": [["+", source, target]]})
+                assert updated["ok"] and updated["epoch"] == 1
+                assert updated["applied"] == 1
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=self.TIMEOUT) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            reader.join(timeout=self.TIMEOUT)
+            proc.stdout.close()
+
+        graph.add_edge(source, target)
+        loaded = SnapshotStore.load(persist, verify=True)
+        assert loaded.graph.has_edge(source, target)
+        assert loaded.graph.extends_token is not None  # a refreshed snapshot
+        assert (persist / "patch.pkl").exists()
+        assert match(query, loaded.graph) == match(query, graph)

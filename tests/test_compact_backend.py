@@ -33,7 +33,7 @@ from repro.core.matchjoin import _id_match_join, match_join
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import CompactGraph, DataGraph, P
-from repro.graph.flatbuf import _HAVE_SHM, BACKEND_ENV, FILE_DIR_ENV, SharedCompactGraph
+from repro.graph.flatbuf import _HAVE_SHM, BACKEND_ENV, FILE_DIR_ENV
 from repro.graph.pattern import BoundedPattern
 from repro.obs.metrics import get_registry
 from repro.shard.sharded import ShardedGraph
@@ -148,6 +148,49 @@ class TestCompactGraphApi:
                 assert set(f.nodes_with_label(label)) == set(
                     g.nodes_with_label(label)
                 )
+
+    def test_concurrent_first_touch_decoding(self):
+        """Reader threads share one snapshot whose rows, labels, node
+        table and id map all decode on first touch; every thread must
+        read the same graph as the source, fresh or attached."""
+        import pickle
+        import sys
+        import threading
+
+        g = random_labeled_graph(random.Random(17), 300, 900)
+        q = random_pattern(random.Random(18), 3, 3)
+        expected_edges = set(g.edges())
+        expected_match = match(q, g)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for snapshot in (g.freeze(), pickle.loads(pickle.dumps(g.freeze()))):
+                errors = []
+
+                def read(offset):
+                    try:
+                        nodes = sorted(g.nodes(), key=repr)
+                        nodes = nodes[offset:] + nodes[:offset]
+                        for v in nodes:
+                            assert snapshot.successors(v) == g.successors(v)
+                            assert snapshot.predecessors(v) == g.predecessors(v)
+                            assert snapshot.labels(v) == g.labels(v)
+                        assert set(snapshot.edges()) == expected_edges
+                        assert match(q, snapshot) == expected_match
+                    except BaseException as exc:  # reported below
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=read, args=(37 * k,)) for k in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors, errors[0]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_has_edge_and_missing_nodes(self):
         f = build_graph({1: "A", 2: "B"}, [(1, 2)]).freeze()
@@ -494,7 +537,7 @@ def _freeze(graph, backend, monkeypatch, tmp_path):
         monkeypatch.setenv(BACKEND_ENV, backend[5:] or "shm")
         monkeypatch.setenv(FILE_DIR_ENV, str(tmp_path))
         frozen = graph.freeze(shared=True)
-        assert isinstance(frozen, SharedCompactGraph)
+        assert frozen.flat_store.backend == (backend[5:] or "shm")
         return frozen, lambda views: None
     if backend == "sharded":
         return ShardedGraph(graph, num_shards=3), lambda views: None
@@ -671,7 +714,7 @@ class TestFlatBackendEquivalence:
         )
         graph.add_edge(source, nodes[-1])
         refreshed = graph.freeze()
-        assert isinstance(refreshed, SharedCompactGraph)
+        assert refreshed.flat_store.backend == "shm"
         assert refreshed.extends_token == token
         assert refreshed.flat_store is shared.flat_store
         for v in nodes:

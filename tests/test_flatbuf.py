@@ -7,8 +7,8 @@ view-payload counterpart :mod:`repro.views.flatpack`:
   survival across ``refreshed`` chains (one base segment per chain), no
   leaked ``/dev/shm`` entries after process-pool round trips;
 * the plain-``bytes`` fallback behind ``REPRO_FLAT_BACKEND=bytes``;
-* attach-not-unpickle shipping: a :class:`SharedCompactGraph` or a
-  :class:`FlatExtension` bound to it pickles to a segment handle and
+* attach-not-unpickle shipping: a snapshot frozen with ``shared=True``
+  or a :class:`FlatExtension` bound to it pickles to a segment handle and
   reconstructs with identical read results, in-process and across a
   process pool;
 * engine/server integration: process engines freeze shared snapshots
@@ -37,7 +37,6 @@ from repro.graph.flatbuf import (
     SEGMENT_PREFIX,
     FlatStore,
     SegmentFormatError,
-    SharedCompactGraph,
     live_segment_names,
     verify_segment_file,
 )
@@ -67,7 +66,7 @@ class TestLifecycle:
     def test_unlink_on_last_reference_drop(self):
         g = _sample_graph()
         shared = g.freeze(shared=True)
-        assert isinstance(shared, SharedCompactGraph)
+        assert shared.flat_store.backend == "shm"
         name = shared.flat_store.segment.name
         assert name in live_segment_names()
         del shared
@@ -87,7 +86,7 @@ class TestLifecycle:
                 added.append((v, w))
         assert added
         second = g.freeze()
-        assert isinstance(second, SharedCompactGraph)
+        assert second.flat_store.backend == "shm"
         assert second is not first
         assert second.extends_token == first.snapshot_token
         # The refresh rides the same segment as a patch overlay.
@@ -102,10 +101,40 @@ class TestLifecycle:
         gc.collect()
         assert name not in live_segment_names()
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_refresh_chain_reencodes_past_patch_threshold(self, shared):
+        g = _sample_graph(seed=10, nodes=100, edges=200)
+        first = g.freeze(shared=shared)
+        backend = first.flat_store.backend
+        ids = {v: first.id_of(v) for v in g.nodes()}
+        rng = random.Random(10)
+        previous, stores = first, [first.flat_store]
+        while len(stores) == 1:
+            v, w = rng.sample(sorted(g.nodes()), 2)
+            if g.has_edge(v, w):
+                continue
+            g.add_edge(v, w)
+            current = g.freeze()
+            assert current.extends_token == previous.snapshot_token
+            if current.flat_store is not first.flat_store:
+                stores.append(current.flat_store)
+            else:
+                # Below the threshold the patch stays small.
+                patch = current._patch
+                assert len(patch["succ"]) + len(patch["pred"]) <= 64
+            previous = current
+        # Past max(64, base_nodes // 4) patch rows the chain re-encodes
+        # into a fresh segment on the same kind of backend, ids stable.
+        assert current._patch is None
+        assert current.flat_store.backend == backend
+        assert {v: current.id_of(v) for v in g.nodes()} == ids
+        assert set(current.edges()) == set(g.edges())
+        assert set(pickle.loads(pickle.dumps(current)).edges()) == set(g.edges())
+
     def test_share_is_idempotent(self):
         g = _sample_graph(seed=3)
         shared = g.freeze(shared=True)
-        assert SharedCompactGraph.share(shared) is shared
+        assert shared.share() is shared
         assert g.freeze(shared=True) is shared
 
     def test_no_dev_shm_leak_after_suite_of_drops(self):
@@ -139,10 +168,10 @@ class TestBytesFallback:
 
     def test_flat_store_tables_identical_across_backends(self, monkeypatch):
         g = _sample_graph(seed=6)
-        shm_tables = g.freeze(shared=True).flat_table_bytes()
+        shm_tables = g.freeze(shared=True).flat_store.table_bytes()
         g2 = _sample_graph(seed=6)
         monkeypatch.setenv(BACKEND_ENV, "bytes")
-        bytes_tables = g2.freeze(shared=True).flat_table_bytes()
+        bytes_tables = g2.freeze(shared=True).flat_store.table_bytes()
         assert shm_tables == bytes_tables
 
 
@@ -213,7 +242,7 @@ def _remote_probe(shared):
     return (
         sorted(shared.nodes(), key=repr)[:5],
         shared.num_edges,
-        type(shared).__name__,
+        shared.flat_store.backend,
     )
 
 
@@ -229,10 +258,10 @@ class TestCrossProcess:
         g = _sample_graph(seed=12, nodes=120, edges=360)
         shared = g.freeze(shared=True)
         with ProcessPoolExecutor(max_workers=1) as pool:
-            nodes, num_edges, typename = pool.submit(
+            nodes, num_edges, backend = pool.submit(
                 _remote_probe, shared
             ).result()
-        assert typename == "SharedCompactGraph"
+        assert backend == "shm"
         assert num_edges == shared.num_edges
         assert nodes == sorted(shared.nodes(), key=repr)[:5]
 
@@ -285,7 +314,7 @@ class TestEngineIntegration:
         engine = QueryEngine(
             views, graph=graph, executor="process", workers=2
         )
-        assert isinstance(engine.snapshot(), SharedCompactGraph)
+        assert engine.snapshot().flat_store.backend == "shm"
         results = engine.answer_batch(queries)
         # Every extension packed into a shared segment, so workers
         # attach it instead of unpickling rows.
@@ -350,7 +379,7 @@ class TestEngineIntegration:
                 == match(query, tracker.graph).edge_matches
             )
         snapshot = engine.snapshot()
-        assert isinstance(snapshot, SharedCompactGraph)
+        assert snapshot.flat_store.backend == "shm"
         # Extensions were re-stamped/bound without losing flatness.
         restamped = 0
         for name in flat_names:
@@ -368,7 +397,7 @@ class TestEngineIntegration:
         before = set(live_segment_names())
         engine = QueryEngine(views, graph=graph, executor=executor, workers=2)
         results = engine.answer_batch(queries)
-        assert not isinstance(engine.snapshot(), SharedCompactGraph)
+        assert engine.snapshot().flat_store.backend == "bytes"
         catalog = engine.views
         for name in catalog.names():
             if catalog.is_materialized(name):

@@ -282,6 +282,9 @@ class TestStreamEquivalence:
     def test_refresh_reuses_untouched_rows(self):
         graph = random_labeled_graph(random.Random(7), 40, 100)
         first = graph.freeze()
+        # Rows decode on first touch; decode them all so the refresh
+        # has a full row cache to carry forward.
+        first_rows = [first.succ_rows[i] for i in range(len(first))]
         source = next(iter(graph.nodes()))
         target = next(
             node for node in graph.nodes()
@@ -289,11 +292,12 @@ class TestStreamEquivalence:
         )
         graph.add_edge(source, target)
         second = graph.freeze()
+        assert second.flat_store is first.flat_store
         touched = {graph.freeze().id_of(source)}
         reused = sum(
             1
             for i in range(len(first))
-            if second.succ_rows[i] is first.succ_rows[i]
+            if second.succ_rows[i] is first_rows[i]
         )
         assert reused >= len(first) - len(touched)
 

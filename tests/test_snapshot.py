@@ -11,16 +11,17 @@ serving layer, and the CLI surface over all of it.
 
 import asyncio
 import json
+import pickle
 import random
 
 import pytest
 
-from helpers import random_labeled_graph
+from helpers import build_graph, random_labeled_graph
 from repro.cli import main as cli_main
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
-from repro.graph import DataGraph
-from repro.graph.flatbuf import SegmentFormatError, SharedCompactGraph
+from repro.graph import CompactGraph, DataGraph, P, Pattern
+from repro.graph.flatbuf import SegmentFormatError
 from repro.graph.ingest import ingest_snapshot
 from repro.graph.snapshot import (
     MANIFEST_NAME,
@@ -64,7 +65,7 @@ class TestCompactRoundTrip:
         compact_result = match(query, graph.freeze())
         SnapshotStore.save(tmp_path / "snap", graph)
         loaded = SnapshotStore.load(tmp_path / "snap", verify=True)
-        assert isinstance(loaded.graph, SharedCompactGraph)
+        assert isinstance(loaded.graph, CompactGraph)
         assert loaded.graph.flat_store.backend == "file"
         reloaded_result = match(query, loaded.graph)
         assert dict_result.edge_matches == compact_result.edge_matches
@@ -100,6 +101,34 @@ class TestCompactRoundTrip:
         assert loaded.graph.snapshot_token == refreshed.snapshot_token
         for v, w in added:
             assert loaded.graph.has_edge(v, w)
+
+    def test_appended_node_attrs_survive_pickle_and_reload(self, tmp_path):
+        # The base segment carries no attributes at all; the only
+        # attributed node arrives through a refresh patch.
+        g = build_graph(
+            {i: "A" if i % 2 else "B" for i in range(40)},
+            [(i, (i * 7 + 3) % 40) for i in range(40)],
+        )
+        g.freeze(shared=True)
+        g.add_node("new", labels="A", attrs={"price": 7})
+        g.add_edge("new", 0)
+        refreshed = g.freeze()
+        assert refreshed.extends_token is not None
+        assert refreshed.attrs("new") == {"price": 7}
+        query = Pattern()
+        query.add_node("hi", (P("price") >= 5).with_label("A"))
+        query.add_node("b", "B")
+        query.add_edge("hi", "b")
+        expected = match(query, g)
+        assert expected.node_matches["hi"] == {"new"}
+
+        shipped = pickle.loads(pickle.dumps(refreshed))
+        SnapshotStore.save(tmp_path / "snap", refreshed)
+        assert (tmp_path / "snap" / "patch.pkl").exists()
+        reloaded = SnapshotStore.load(tmp_path / "snap").graph
+        for copy in (refreshed, shipped, reloaded):
+            assert copy.attrs("new") == {"price": 7}
+            assert match(query, copy) == expected
 
     def test_overwrite_guard_and_swap(self, tmp_path):
         g1 = random_labeled_graph(random.Random(7), 20, 40)
@@ -364,16 +393,52 @@ class TestServePersistence:
                     Delta().insert(nodes[0], nodes[-1])
                 )
                 second = await server.query(query)
-                return first, second, dict(server.stats()["requests"])
+                return first, second, server.stats()
 
-        first, second, counters = asyncio.run(run())
+        first, second, stats = asyncio.run(run())
+        counters = stats["requests"]
         assert counters["snapshots_persisted"] == 2
         assert counters["persist_failures"] == 0
+        assert stats["epoch"]["persisted"] == stats["epoch"]["current"] == 1
         assert first.epoch != second.epoch
         rebooted = QueryEngine(snapshot_path=persist)
         assert (
             rebooted.answer(query).edge_matches == second.result.edge_matches
         )
+
+    def test_persist_failures_show_as_durability_lag(self, tmp_path):
+        from repro.serve import QueryServer
+        from repro.views.maintenance import Delta, IncrementalViewSet
+
+        graph, views, query = _workload(seed=61)
+        tracker = IncrementalViewSet(views.definitions(), graph)
+        engine = QueryEngine(views, graph=graph)
+        engine.attach_maintenance(tracker)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("a regular file where the snapshot dir should go")
+        server = QueryServer(engine, persist_path=blocker)
+
+        async def answer_checked():
+            answer = await server.query(query)
+            oracle = match(query, tracker.graph)
+            assert answer.result.edge_matches == oracle.edge_matches
+
+        async def run():
+            async with server:
+                await answer_checked()
+                nodes = sorted(tracker.graph.nodes(), key=repr)
+                for source, target in ((nodes[0], nodes[-1]), (nodes[1], nodes[-2])):
+                    await server.update(Delta().insert(source, target))
+                    await answer_checked()
+                return server.stats()
+
+        stats = asyncio.run(run())
+        assert stats["requests"]["persist_failures"] == 3
+        assert stats["requests"]["snapshots_persisted"] == 0
+        assert stats["metrics"]["counters"]["repro_server_persist_failures_total"][""] == 3
+        assert stats["epoch"]["current"] == 2
+        assert stats["epoch"]["persisted"] == -1
+        assert blocker.read_text().startswith("a regular file")
 
     def test_snapshot_booted_server_serves(self, tmp_path):
         from repro.serve import QueryServer
