@@ -128,36 +128,48 @@ class _Decoded(dict):
         return value
 
 
-def _csr_row(
-    store: FlatStore, kind: str, total: int, overrides, i: int
-) -> Tuple[int, ...]:
-    row = overrides.get(i)
-    if row is None:
-        if not 0 <= i < total:
-            raise IndexError(i)
-        indptr = store.ints(kind + "_indptr")
-        # Ids past the base segment are appended nodes without a
-        # rebuilt row: no edges.
-        if i >= len(indptr) - 1:
-            return ()
-        row = tuple(store.ints(kind + "_indices")[indptr[i] : indptr[i + 1]])
-    return row
+class _Rows(dict):
+    """``{id: adjacency tuple}`` for one CSR direction, decoded per row
+    on first touch (a :class:`_Decoded` specialised for the hottest
+    decode).  ``overrides`` holds the refresh patch's rebuilt rows; ids
+    past the base segment without one are appended nodes: no edges."""
+
+    __slots__ = ("_indptr", "_indices", "_base", "_total", "_overrides")
+
+    def __init__(self, store: FlatStore, kind: str, total: int, overrides) -> None:
+        super().__init__()
+        self._indptr = store.ints(kind + "_indptr")
+        self._indices = store.ints(kind + "_indices")
+        self._base = len(self._indptr) - 1
+        self._total = total
+        self._overrides = overrides
+
+    def __missing__(self, i: int) -> Tuple[int, ...]:
+        row = self._overrides.get(i)
+        if row is None:
+            if not 0 <= i < self._total:
+                raise IndexError(i)
+            if i < self._base:
+                indptr = self._indptr
+                row = tuple(self._indices[indptr[i] : indptr[i + 1]])
+            else:
+                row = ()
+        self[i] = row
+        return row
 
 
 def _label_row(
-    store: FlatStore, base: int, total: int, appended, interned, i: int
+    indptr, indices, names, base: int, total: int, appended, interned, i: int
 ) -> FrozenSet[str]:
     if not 0 <= i < total:
         raise IndexError(i)
     if i >= base:
         return appended[i - base]
-    indptr = store.ints("label_row_indptr")
-    slots = tuple(store.ints("label_row_indices")[indptr[i] : indptr[i + 1]])
+    slots = tuple(indices[indptr[i] : indptr[i + 1]])
     # Few distinct label sets exist; every node carrying one shares
     # one frozenset.
     labels = interned.get(slots)
     if labels is None:
-        names = store.obj("labels")
         labels = interned[slots] = frozenset(map(names.__getitem__, slots))
     return labels
 
@@ -207,10 +219,19 @@ class CompactGraph:
         nodes: List[Node] = list(graph.nodes())
         ids: Dict[Node, int] = {node: i for i, node in enumerate(nodes)}
         to_id = ids.__getitem__
+        if nodes == list(range(len(nodes))) and set(map(type, nodes)) <= {int}:
+            # Keys 0..n-1 in order (every generated dataset) are their
+            # own ids, so the CSR needs no per-edge lookup.
+            edge_ids = chain.from_iterable
+        else:
+            def edge_ids(rows):
+                return map(to_id, chain.from_iterable(rows))
         succ = list(map(graph.successors, nodes))
         pred = list(map(graph.predecessors, nodes))
         labels = list(map(graph.labels, nodes))
-        attrs = [dict(a) if a else {} for a in map(graph.attrs, nodes)]
+        # Pickling copies the attribute dicts; the snapshot decodes its
+        # own on first use.
+        attrs = list(map(graph.attrs, nodes))
         names = sorted(set().union(*labels))
         slot_of = {label: k for k, label in enumerate(names)}
         slots = {row: sorted(map(slot_of.__getitem__, row)) for row in set(labels)}
@@ -219,9 +240,9 @@ class CompactGraph:
         store = FlatStore.pack(
             arrays={
                 "succ_indptr": _indptr(succ),
-                "succ_indices": array("q", list(map(to_id, chain.from_iterable(succ)))),
+                "succ_indices": array("q", list(edge_ids(succ))),
                 "pred_indptr": _indptr(pred),
-                "pred_indices": array("q", list(map(to_id, chain.from_iterable(pred)))),
+                "pred_indices": array("q", list(edge_ids(pred))),
                 "label_row_indptr": _indptr(labels),
                 "label_row_indices": array(
                     "q", list(chain.from_iterable(map(slots.__getitem__, labels)))
@@ -239,10 +260,9 @@ class CompactGraph:
         )
         meta = (len(nodes), graph.num_edges, version, _new_token(), None)
         self._bind(store, None, meta)
-        # The build already holds the decoded tables; keep them.
+        # The build already holds the node table and id map; keep them.
         self._nodes = nodes
         self._ids = ids
-        self._attrs = attrs
 
     def _bind(self, store: FlatStore, patch, meta) -> None:
         """Point every table at ``store`` (+ ``patch``), nothing decoded."""
@@ -257,10 +277,19 @@ class CompactGraph:
         self._nodes = None
         self._ids = None
         self._attrs = None
-        self._succ = _Decoded(partial(_csr_row, store, "succ", num_nodes, p["succ"]))
-        self._pred = _Decoded(partial(_csr_row, store, "pred", num_nodes, p["pred"]))
+        self._succ = _Rows(store, "succ", num_nodes, p["succ"])
+        self._pred = _Rows(store, "pred", num_nodes, p["pred"])
         self._labels = _Decoded(
-            partial(_label_row, store, base, num_nodes, p["labels"], {})
+            partial(
+                _label_row,
+                store.ints("label_row_indptr"),
+                store.ints("label_row_indices"),
+                store.obj("labels"),
+                base,
+                num_nodes,
+                p["labels"],
+                {},
+            )
         )
         self._label_ids = _Decoded(partial(_bucket, store, p["buckets"]))
         # Node-key adjacency frozensets, built lazily for the generic

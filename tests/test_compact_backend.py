@@ -177,7 +177,7 @@ class TestCompactGraphApi:
                             assert snapshot.labels(v) == g.labels(v)
                         assert set(snapshot.edges()) == expected_edges
                         assert match(q, snapshot) == expected_match
-                    except BaseException as exc:  # reported below
+                    except Exception as exc:  # reported below
                         errors.append(exc)
 
                 threads = [
