@@ -28,16 +28,21 @@ lists.  Segment layout (``{table: (kind, offset, nbytes)}``)::
     labels / label_slots                interned label table (pickled)
     nodes / attrs                       node keys, attribute dicts (pickled)
 
+The build keeps the node keys and attribute dicts as plain lists and
+leaves the ``nodes`` / ``attrs`` blobs out; :meth:`CompactGraph.packed_store`
+adds them only when the segment leaves the process, so an in-process
+snapshot never pickles a node key or an attribute value.
+
 Where the segment lives is the snapshot's only backend choice.  A
 snapshot is built into a plain in-process ``bytes`` segment;
 :meth:`CompactGraph.share` (what ``DataGraph.freeze(shared=True)``
-calls) copies it into the default *named* backend -- shared memory, or
-whatever ``REPRO_FLAT_BACKEND`` selects -- and
+calls) copies it, packed, into the default *named* backend -- shared
+memory, or whatever ``REPRO_FLAT_BACKEND`` selects -- and
 :meth:`~repro.graph.snapshot.SnapshotStore.load` maps a saved one back
-as a read-only ``file`` segment.  Pickling ships the store (its bytes
-for a ``bytes`` segment, its name for ``shm`` / ``file``), the refresh
-patch and a small meta tuple, so a process-pool worker *attaches*
-rather than unpickling ``O(|G|)`` objects.
+as a read-only ``file`` segment.  Pickling ships the packed store (its
+bytes for a ``bytes`` segment, its name for ``shm`` / ``file``), the
+refresh patch and a small meta tuple, so a process-pool worker
+*attaches* rather than unpickling ``O(|G|)`` objects.
 
 Snapshots are identified by two integers: :attr:`snapshot_version`, the
 source graph's mutation counter at freeze time, and
@@ -128,34 +133,17 @@ class _Decoded(dict):
         return value
 
 
-class _Rows(dict):
-    """``{id: adjacency tuple}`` for one CSR direction, decoded per row
-    on first touch (a :class:`_Decoded` specialised for the hottest
-    decode).  ``overrides`` holds the refresh patch's rebuilt rows; ids
-    past the base segment without one are appended nodes: no edges."""
-
-    __slots__ = ("_indptr", "_indices", "_base", "_total", "_overrides")
-
-    def __init__(self, store: FlatStore, kind: str, total: int, overrides) -> None:
-        super().__init__()
-        self._indptr = store.ints(kind + "_indptr")
-        self._indices = store.ints(kind + "_indices")
-        self._base = len(self._indptr) - 1
-        self._total = total
-        self._overrides = overrides
-
-    def __missing__(self, i: int) -> Tuple[int, ...]:
-        row = self._overrides.get(i)
-        if row is None:
-            if not 0 <= i < self._total:
-                raise IndexError(i)
-            if i < self._base:
-                indptr = self._indptr
-                row = tuple(self._indices[indptr[i] : indptr[i + 1]])
-            else:
-                row = ()
-        self[i] = row
+def _row(indptr, indices, base: int, total: int, overrides, i: int) -> Tuple[int, ...]:
+    # ``overrides`` holds the refresh patch's rebuilt rows; ids past the
+    # base segment without one are appended nodes: no edges.
+    row = overrides.get(i)
+    if row is not None:
         return row
+    if not 0 <= i < total:
+        raise IndexError(i)
+    if i < base:
+        return tuple(indices[indptr[i] : indptr[i + 1]])
+    return ()
 
 
 def _label_row(
@@ -197,6 +185,7 @@ class CompactGraph:
 
     __slots__ = (
         "_store",
+        "_packed",
         "_patch",
         "_base",
         "_num_nodes",
@@ -229,9 +218,6 @@ class CompactGraph:
         succ = list(map(graph.successors, nodes))
         pred = list(map(graph.predecessors, nodes))
         labels = list(map(graph.labels, nodes))
-        # Pickling copies the attribute dicts; the snapshot decodes its
-        # own on first use.
-        attrs = list(map(graph.attrs, nodes))
         names = sorted(set().union(*labels))
         slot_of = {label: k for k, label in enumerate(names)}
         slots = {row: sorted(map(slot_of.__getitem__, row)) for row in set(labels)}
@@ -250,19 +236,15 @@ class CompactGraph:
                 "bucket_indptr": _indptr(buckets),
                 "bucket_indices": array("q", list(chain.from_iterable(buckets))),
             },
-            blobs={
-                "labels": _dump(tuple(names)),
-                "label_slots": _dump(slot_of),
-                "nodes": _dump(nodes),
-                "attrs": _dump(attrs) if any(attrs) else b"",
-            },
+            # packed_store() adds the node key and attribute tables.
+            blobs={"labels": _dump(tuple(names)), "label_slots": _dump(slot_of)},
             backend="bytes",
         )
         meta = (len(nodes), graph.num_edges, version, _new_token(), None)
         self._bind(store, None, meta)
-        # The build already holds the node table and id map; keep them.
         self._nodes = nodes
         self._ids = ids
+        self._attrs = [dict(a) if a else {} for a in map(graph.attrs, nodes)]
 
     def _bind(self, store: FlatStore, patch, meta) -> None:
         """Point every table at ``store`` (+ ``patch``), nothing decoded."""
@@ -270,6 +252,8 @@ class CompactGraph:
         p = patch or _EMPTY_PATCH
         base = len(store.ints("succ_indptr")) - 1
         self._store = store
+        # One cell per base segment, shared along its refresh chain.
+        self._packed = [store if "nodes" in store.header else None]
         self._patch = patch or None
         self._base = base
         self._num_nodes = num_nodes
@@ -277,8 +261,26 @@ class CompactGraph:
         self._nodes = None
         self._ids = None
         self._attrs = None
-        self._succ = _Rows(store, "succ", num_nodes, p["succ"])
-        self._pred = _Rows(store, "pred", num_nodes, p["pred"])
+        self._succ = _Decoded(
+            partial(
+                _row,
+                store.ints("succ_indptr"),
+                store.ints("succ_indices"),
+                base,
+                num_nodes,
+                p["succ"],
+            )
+        )
+        self._pred = _Decoded(
+            partial(
+                _row,
+                store.ints("pred_indptr"),
+                store.ints("pred_indices"),
+                base,
+                num_nodes,
+                p["pred"],
+            )
+        )
         self._labels = _Decoded(
             partial(
                 _label_row,
@@ -325,26 +327,62 @@ class CompactGraph:
     # ------------------------------------------------------------------
     @property
     def flat_store(self) -> FlatStore:
-        """The backing store (segment + table directory)."""
+        """The backing store (segment + table directory).  For a
+        snapshot built in-process it lacks the node key and attribute
+        tables; :meth:`packed_store` adds them."""
         return self._store
+
+    def _node_tables(self) -> Dict[str, bytes]:
+        """The pickled node key and attribute tables of the base
+        segment, or ``{}`` when the segment already holds them."""
+        if "nodes" in self._store.header:
+            return {}
+        base = self._base
+        attrs = self._attr_table[:base]
+        return {
+            "nodes": _dump(self.node_table[:base]),
+            "attrs": _dump(attrs) if any(attrs) else b"",
+        }
+
+    def packed_store(self) -> FlatStore:
+        """The base store with every table packed in, node keys and
+        attributes included: what a pickle ships and a save writes.
+
+        A snapshot built in-process keeps its node keys and attribute
+        dicts as plain lists, so only this pickles them (once per base
+        segment, shared by its refresh chain); they must then be
+        picklable.  A ``bytes`` segment is copied once to add them.
+        """
+        cell = self._packed
+        if cell[0] is None:
+            # Racing threads may each pack; every copy is equivalent.
+            cell[0] = self._store.extended(self._node_tables(), "bytes")
+        return cell[0]
 
     def share(self) -> "CompactGraph":
         """This snapshot with its segment in the default named backend.
 
-        ``self`` when the segment is already named (``shm`` / ``file``)
-        or the default backend is ``bytes``; otherwise a twin with the
-        same token, patch and decoded caches over a copy of the segment,
-        whose pickle is a handle instead of the table bytes.
+        ``self`` when the segment is already named (``shm`` / ``file``),
+        or already packed when the default backend is ``bytes``;
+        otherwise a twin with the same token, patch and decoded caches
+        over a packed copy of the segment, whose pickle is a handle
+        instead of the table bytes.
         """
-        if self._store.backend != "bytes" or resolve_backend() == "bytes":
+        if self._store.backend != "bytes":
             return self
+        if resolve_backend() == "bytes":
+            store = self.packed_store()
+            if store is self._store:
+                return self
+        else:
+            store = self._store.extended(self._node_tables())
         twin = CompactGraph.__new__(CompactGraph)
-        twin._bind(self._store.rehomed(), self._patch, self._meta())
+        twin._bind(store, self._patch, self._meta())
         twin._adopt(self)
         return twin
 
     def __reduce__(self):
-        return (_attach_snapshot, (self._store, self._patch, self._meta()))
+        return (_attach_snapshot, (self.packed_store(), self._patch, self._meta()))
 
     def refreshed(self, graph, version: int, ops) -> "CompactGraph":
         """A new snapshot of ``graph`` built by patching this one.
@@ -414,6 +452,7 @@ class CompactGraph:
             self.snapshot_token,
         )
         new._bind(self._store, patch, meta)
+        new._packed = self._packed
         new._adopt(self)
         new._succ.update(fresh_succ)
         new._pred.update(fresh_pred)

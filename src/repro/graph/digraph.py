@@ -396,6 +396,13 @@ class DataGraph:
         process-pool workers costs a segment handle instead of its
         bytes.  The backend is sticky across the refresh chain: a
         refresh keeps the segment it patches.
+
+        Node keys and attribute values are pickled only when the
+        snapshot leaves the process -- ``shared=True``, pickling, or a
+        :class:`~repro.graph.snapshot.SnapshotStore` save -- so only
+        those need them picklable; an in-process snapshot holds shallow
+        copies of the attribute dicts, as a plain ``freeze()`` always
+        has.
         """
         from repro.graph.compact import CompactGraph
 

@@ -27,7 +27,8 @@ between:
 A store over a named segment (``shm`` / ``file``) pickles as *segment
 name + table directory*: workers **attach** to the segment instead of
 unpickling its contents, so ship cost is O(directory), not O(|G|).
-:meth:`FlatStore.rehomed` copies a store into another backend.
+:meth:`FlatStore.extended` copies a store, plus any added tables, into
+another backend.
 
 Segment lifecycle is deterministic and refcounted in-process:
 
@@ -585,15 +586,20 @@ class FlatStore:
         segment.seal(header)
         return cls(segment, header)
 
-    def rehomed(self, backend: Optional[str] = None) -> "FlatStore":
-        """A copy of this store in a fresh segment on ``backend``
-        (:func:`resolve_backend` rules); decoded blobs carry over."""
-        segment = Segment.create(self.segment.nbytes, backend)
-        buf = segment.buf
-        buf[:] = self.segment.buf
-        del buf
-        segment.seal(self.header)
-        store = FlatStore(segment, self.header)
+    def extended(
+        self, blobs: Dict[str, bytes], backend: Optional[str] = None
+    ) -> "FlatStore":
+        """A copy of this store plus the blob tables ``blobs`` in a fresh
+        segment on ``backend`` (:func:`resolve_backend` rules); decoded
+        blobs carry over."""
+        arrays = {}
+        old = {}
+        for name, (kind, _, _) in self.header.items():
+            if kind == "q":
+                arrays[name] = self.ints(name)
+            else:
+                old[name] = self.blob(name)
+        store = FlatStore.pack(arrays, {**old, **blobs}, backend)
         store._objs.update(self._objs)
         return store
 

@@ -297,7 +297,7 @@ def _build_shard(
 
     frozen = graph.freeze()
     seg = f"shard-{shard:03d}.seg"
-    frozen.flat_store.save(os.path.join(dirpath, seg))
+    frozen.packed_store().save(os.path.join(dirpath, seg))
     entry = {
         "segment": seg,
         "meta": [

@@ -3,7 +3,7 @@
 A :class:`~repro.graph.compact.CompactGraph` keeps its tables in one
 flat segment -- but an in-process or shared-memory segment dies with
 the process.  :class:`SnapshotStore` gives a snapshot a durable
-sibling: :meth:`SnapshotStore.save` writes the snapshot's existing
+sibling: :meth:`SnapshotStore.save` writes the snapshot's packed
 segment (whatever its backend) and refresh patch into a *snapshot
 directory* of sealed segment files (see :mod:`repro.graph.flatbuf` for
 the on-disk format) plus a ``manifest.json``, and
@@ -229,7 +229,7 @@ class SnapshotStore:
         ``snapshot`` may be a live :class:`DataGraph` (frozen here), a
         :class:`CompactGraph` on any segment backend, or a
         :class:`~repro.shard.sharded.ShardedGraph`; each snapshot's
-        existing segment and patch are written as they are.  ``views``
+        packed segment and patch are written as they are.  ``views``
         is a ViewSet or ``{name: MaterializedView}`` mapping; views
         whose id-space payload is bound to this exact
         snapshot are saved as attachable segment files, everything else
@@ -384,7 +384,7 @@ def _graph_meta(snapshot) -> dict:
 
 def _write_compact(dirpath: str, snapshot: CompactGraph) -> dict:
     files = {"segment": "graph.seg"}
-    snapshot.flat_store.save(os.path.join(dirpath, "graph.seg"))
+    snapshot.packed_store().save(os.path.join(dirpath, "graph.seg"))
     if snapshot._patch:
         _dump(snapshot._patch, os.path.join(dirpath, "patch.pkl"))
         files["patch"] = "patch.pkl"
@@ -396,7 +396,7 @@ def _write_sharded(dirpath: str, sharded) -> dict:
     shard_files: List[dict] = []
     for i, shard in enumerate(sharded._shards):
         seg = f"shard-{i:03d}.seg"
-        shard.flat_store.save(os.path.join(dirpath, seg))
+        shard.packed_store().save(os.path.join(dirpath, seg))
         entry = {
             "segment": seg,
             "meta": [
@@ -453,7 +453,9 @@ def _write_views(
             _dump(
                 {
                     "definition": definition,
-                    "nodes_extra": payload.nodes_extra or [],
+                    # The saved segment holds the base node keys; the
+                    # saved patch, the appended ones.
+                    "nodes_extra": (snapshot._patch or {}).get("nodes", []),
                     "edge_order": payload.edge_order,
                     "token": payload.token,
                     "version": payload.version,

@@ -15,7 +15,9 @@ Covers the whole refactor stack:
   through maintenance events.
 """
 
+import pickle
 import random
+import threading
 
 import pytest
 
@@ -214,6 +216,29 @@ class TestCompactGraphApi:
         f = g.freeze()
         g.add_node(1, attrs={"x": 2})
         assert f.attrs(1) == {"x": 1}
+
+    def test_in_process_snapshot_needs_no_picklable_keys_or_attrs(self):
+        # Node keys and attribute values are pickled only when the
+        # snapshot leaves the process.
+        lock = threading.Lock()
+        key = lambda: None  # hashable, not picklable
+        g = build_graph({1: "A", 2: "B"}, [(1, 2)])
+        g.add_node(key, labels="A", attrs={"lock": lock})
+        g.add_edge(key, 2)
+        f = g.freeze()
+        assert f.attrs(key)["lock"] is lock
+        query = build_pattern({"a": "A", "b": "B"}, [("a", "b")])
+        assert match(query, f) == match(query, g)
+        g.add_edge(1, key)
+        refreshed = g.freeze()
+        assert refreshed.extends_token == f.snapshot_token
+        assert refreshed.successors(1) == {2, key}
+        engine = QueryEngine(
+            ViewSet(generate_views(("A", "B"), 2, seed=1)), graph=g
+        )
+        assert engine.answer(query).edge_matches == match(query, g).edge_matches
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            pickle.dumps(refreshed)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from helpers import build_graph, random_labeled_graph
+from helpers import build_graph, build_pattern, random_labeled_graph
 from repro.cli import main as cli_main
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
@@ -405,6 +405,68 @@ class TestServePersistence:
         assert (
             rebooted.answer(query).edge_matches == second.result.edge_matches
         )
+
+    def test_persisted_views_decode_appended_nodes(self, tmp_path):
+        # An in-process engine persists a bytes-backed refreshed
+        # snapshot as its base segment plus patch.pkl; a view whose
+        # match gained a node appended by the update must decode it
+        # after the reload.
+        from repro.core.containment import contains
+        from repro.core.matchjoin import match_join
+        from repro.graph import TrueCondition
+        from repro.serve import QueryServer
+        from repro.views.maintenance import Delta, IncrementalViewSet
+        from repro.views.view import ViewDefinition
+
+        graph = build_graph(
+            {f"a{i}": "A" for i in range(6)}
+            | {f"b{i}": "B" for i in range(6)}
+            | {f"c{i}": "C" for i in range(6)},
+            [(f"a{i}", f"b{i}") for i in range(6)]
+            + [(f"b{i}", f"c{i}") for i in range(4)],
+        )
+        into_b = Pattern()
+        into_b.add_node("x", TrueCondition())
+        into_b.add_node("y", "B")
+        into_b.add_edge("x", "y")
+        views = ViewSet(
+            [
+                ViewDefinition("into_b", into_b),
+                ViewDefinition("b_c", build_pattern({"y": "B", "z": "C"}, [("y", "z")])),
+            ]
+        )
+        query = Pattern()
+        query.add_node("x", TrueCondition())
+        query.add_node("y", "B")
+        query.add_node("z", "C")
+        query.add_edge("x", "y")
+        query.add_edge("y", "z")
+        tracker = IncrementalViewSet(views.definitions(), graph)
+        engine = QueryEngine(views, graph=graph)
+        engine.attach_maintenance(tracker)
+        persist = tmp_path / "persist"
+        server = QueryServer(engine, persist_path=persist)
+
+        async def run():
+            async with server:
+                await server.update(Delta().insert("new", "b0"))
+                return await server.query(query), server.stats()
+
+        answer, stats = asyncio.run(run())
+        assert stats["requests"]["persist_failures"] == 0
+        oracle = match(query, tracker.graph)
+        assert ("new", "b0") in oracle.edge_matches[("x", "y")]
+        assert answer.result.edge_matches == oracle.edge_matches
+        assert (persist / "patch.pkl").exists()
+        loaded = SnapshotStore.load(persist)
+        assert loaded.manifest["views"]["into_b"]["kind"] == "flat"
+        reloaded = loaded.viewset()
+        pairs = reloaded.extension("into_b").edge_matches[("x", "y")]
+        assert ("new", "b0") in pairs
+        containment = contains(query, reloaded)
+        assert containment.holds
+        answer = match_join(query, containment, reloaded)
+        assert answer.edge_matches == oracle.edge_matches
 
     def test_persist_failures_show_as_durability_lag(self, tmp_path):
         from repro.serve import QueryServer
